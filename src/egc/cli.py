@@ -34,8 +34,8 @@ class RunConfig:
     def __post_init__(self):
         if not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if self.trials < 0:
+            raise ValueError("trials must be nonnegative")
         for lo, hi in (self.window, self.flag_range):
             if lo > hi:
                 raise ValueError(f"empty range {lo}:{hi}")
@@ -83,7 +83,7 @@ def cmd_j(args) -> int:
         structural_zero = ctx.nu is None
     norm = lam.size - rho.size
     if cfg.fmt == "json":
-        payload = json.loads(result.to_json(norm))
+        payload = result.to_dict(norm)
         payload.update({
             "lambda": list(lam.parts), "phi": list(phi.bounds),
             "rho": list(rho.parts),

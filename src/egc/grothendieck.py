@@ -15,7 +15,8 @@ from itertools import permutations as iter_permutations
 import numpy as np
 
 from .perms import Permutation, code_shape_flag
-from .ring import EvaluationPoint, EvaluationError, SparsePoly, field_inv
+from .ring import (EvaluationPoint, EvaluationError, SparsePoly, field_inv,
+                   isobaric)
 from .shapes import Flag, SkewShape
 from .tableaux import EnumSpec, enumerate_tableaux, weight_eval
 
@@ -188,13 +189,6 @@ def _top_product(n: int, yvals, beta: int, prime: int) -> SparsePoly:
     return f
 
 
-def _pi_op(f: SparsePoly, i: int, beta: int) -> SparsePoly:
-    # The operator matching the (-)-form top product: d_i((1 + beta*x_{i+1}) f).
-    factor = SparsePoly.const(1, f.n, f.prime) + \
-        SparsePoly.var(i + 1, f.n, f.prime).scale(beta)
-    return (factor * f).divided_difference(i)
-
-
 def _w0(n: int) -> Permutation:
     return Permutation(1, tuple(range(n, 0, -1)))
 
@@ -215,7 +209,7 @@ def grothendieck_poly(w: Permutation, n: int, point: EvaluationPoint,
         if Permutation.from_word(word) != v or len(word) != v.length():
             raise ValueError("word is not a reduced word for w^{-1} w_0")
     for i in reversed(word):
-        f = _pi_op(f, i, beta)
+        f = isobaric(f, i, beta)
     return f
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from .grothendieck import g_eval
 from .perms import Permutation, code_shape_flag
 from .ring import EvaluationPoint, GrahamMonomial, GrahamSum, omega1_factor
-from .shapes import (DeltaSeq, Flag, Partition, SkewShape, delta_seq,
-                     diagonal_split, flag_split, is_compatible, psi_flag,
-                     skew_props, subpartitions, xi_flag)
+from .shapes import (Flag, Partition, SkewShape, delta_seq, diagonal_split,
+                     flag_split, is_compatible, psi_flag, skew_props,
+                     subpartitions, xi_flag)
 from .tableaux import EnumSpec, enumerate_tableaux
 
 
@@ -46,46 +46,36 @@ def unique_nu(lam: Partition, phi: Flag, rho: Partition) -> Partition | None:
     for r in range(1, len(lam) + 1):
         nu.append(lam.part(r) if phi.entry(r) <= 0 else rho.part(r))
     nu_p = Partition(nu)
-    assert nu_p.contains(rho) and lam.contains(nu_p)
+    if not (nu_p.contains(rho) and lam.contains(nu_p)):
+        raise RuntimeError(f"nu {nu_p} not between rho {rho} and lambda {lam}")
     phi_minus, _ = flag_split(phi)
-    assert is_compatible(nu_p, Flag(phi_minus.bounds[:len(nu_p)]))
+    if not is_compatible(nu_p, Flag(phi_minus.bounds[:len(nu_p)])):
+        raise RuntimeError(f"flag {phi_minus} not compatible with nu {nu_p}")
     return nu_p
 
 
-def _raw_psi(lam: Partition, phi: Flag) -> Flag:
-    """min(i - lam_i, phi_i) without the compatibility gate; the result is
-    weakly increasing for every weakly increasing flag."""
-    return Flag(tuple(min(i - lam.part(i), phi.entry(i))
-                      for i in range(1, len(lam) + 1)))
-
-
-def _pi_sequence(lam: Partition, phi: Flag) -> list[Permutation]:
-    psi = _raw_psi(lam, phi)
-    deltas = [phi.entry(i) - psi.entry(i) for i in range(1, len(lam) + 1)]
+def pi_algorithm(lam: Partition, phi: Flag) -> list[Permutation]:
+    """The value-shifting permutations pi_0..pi_ell for a nonnegative flag
+    compatible with lam."""
+    if any(b < 0 for b in phi):
+        raise ValueError(f"flag {phi} has a negative entry")
+    psi = psi_flag(lam, phi)  # validates compatibility
+    deltas = delta_seq(lam, phi)
     ell = len(lam)
-    n = max([1] + [phi.entry(i) for i in range(1, ell + 1)] + deltas)
+    n = max([1] + list(phi.bounds) + list(deltas))
     seq = [Permutation.identity()]
     for i in range(1, ell + 1):
         prev = seq[-1]
         if psi.entry(i) <= 0:
             seq.append(prev)
             continue
-        d = deltas[i - 1]
+        d = deltas.entry(i)
         line = [v for v in prev.one_line(1, n) if v > d]
         # values 1..d move to positions psi_i+1..phi_i, others keep order
         lo_pos = psi.entry(i)  # 0-based index of first moved value
         line = line[:lo_pos] + list(range(1, d + 1)) + line[lo_pos:]
         seq.append(Permutation.from_one_line(line, 1))
     return seq
-
-
-def pi_algorithm(lam: Partition, phi: Flag) -> list[Permutation]:
-    """The value-shifting permutations pi_0..pi_ell for a nonnegative flag."""
-    if any(b < 0 for b in phi):
-        raise ValueError(f"flag {phi} has a negative entry")
-    psi_flag(lam, phi)  # validates compatibility
-    delta_seq(lam, phi)
-    return _pi_sequence(lam, phi)
 
 
 def chi_flags(lam: Partition, phi: Flag) -> list[Flag]:
@@ -119,8 +109,8 @@ def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
                          f"length {len(lam)}")
     if not lam.contains(nu):
         raise ValueError(f"nu {nu} not contained in lambda {lam}")
-    psi = _raw_psi(lam, phi_plus)
-    pi = _pi_sequence(lam, phi_plus)[-1]
+    psi = psi_flag(lam, phi_plus)  # validates compatibility
+    pi = pi_algorithm(lam, phi_plus)[-1]
     shift = nu.size - lam.size
     out = GrahamSum.zero()
     for mu in _disconnected_inners(nu):
@@ -174,27 +164,12 @@ class PipelineContext:
     rho: Partition
     q: int
     nu: Partition | None
-    phi_minus: Flag
-    phi_plus: Flag
-    psi: Flag
-    delta: DeltaSeq
-    pi_seq: tuple[Permutation, ...]
-    chi_seq: tuple[Flag, ...]
     case: str  # "zero" | "nonpositive" | "nonnegative" | "both"
 
 
 def build_context(lam: Partition, phi: Flag, rho: Partition) -> PipelineContext:
-    if not is_compatible(lam, phi):
-        raise ValueError(f"flag {phi} not compatible with {lam}")
-    if not lam.contains(rho):
-        raise ValueError(f"rho {rho} not contained in lambda {lam}")
     q = q_of(lam)
-    nu = unique_nu(lam, phi, rho)
-    phi_minus, phi_plus = flag_split(phi)
-    psi = psi_flag(lam, phi_plus)
-    delta = delta_seq(lam, phi_plus)
-    pi_seq = tuple(pi_algorithm(lam, phi_plus))
-    chi_seq = tuple(chi_flags(lam, phi_plus))
+    nu = unique_nu(lam, phi, rho)  # validates the flag and rho
     if nu is None:
         case = "zero"
     elif q == 0:
@@ -205,8 +180,7 @@ def build_context(lam: Partition, phi: Flag, rho: Partition) -> PipelineContext:
         case = "nonnegative"
     else:
         case = "both"
-    return PipelineContext(lam, phi, rho, q, nu, phi_minus, phi_plus,
-                           psi, delta, pi_seq, chi_seq, case)
+    return PipelineContext(lam, phi, rho, q, nu, case)
 
 
 def j_coefficient(lam: Partition, phi: Flag, rho: Partition) -> GrahamSum:
@@ -224,7 +198,9 @@ def j_coefficient(lam: Partition, phi: Flag, rho: Partition) -> GrahamSum:
     raw = j_minus(nu, Flag(phi_minus.bounds[:len(nu)]), rho) \
         * j_plus(lam, phi_plus, nu)
     normalized = raw.shifted(lam.size - rho.size)
-    assert all(m.beta_shift == 0 for m in normalized.terms)
+    if any(m.beta_shift != 0 for m in normalized.terms):
+        raise RuntimeError("a monomial's beta exponent differs from its "
+                           "factor count")
     return normalized
 
 

@@ -102,9 +102,6 @@ class GrahamMonomial:
             factor_type(f)  # validates prec(i, j)
         object.__setattr__(self, "factors", factors)
 
-    def types_present(self) -> set[int]:
-        return {factor_type(f) for f in self.factors}
-
     def shifted(self, k: int) -> "GrahamMonomial":
         return GrahamMonomial(self.factors, self.beta_shift + k)
 
@@ -169,14 +166,18 @@ class GrahamSum:
             parts.append(f"{c}*{fs}" + (f"*b^{m.beta_shift}" if m.beta_shift else ""))
         return "GrahamSum(" + " + ".join(parts) + ")"
 
-    def to_json(self, normalization_beta_exp: int) -> str:
+    def to_dict(self, normalization_beta_exp: int) -> dict:
+        """The JSON payload of a normalized sum, as plain lists and ints."""
         monos = []
         for m, c in self.canonical():
             if m.beta_shift != 0:
                 raise ValueError("serialize normalized sums only")
             monos.append({"factors": [list(f) for f in m.factors], "mult": c})
-        return json.dumps({"normalization_beta_exp": normalization_beta_exp,
-                           "monomials": monos})
+        return {"normalization_beta_exp": normalization_beta_exp,
+                "monomials": monos}
+
+    def to_json(self, normalization_beta_exp: int) -> str:
+        return json.dumps(self.to_dict(normalization_beta_exp))
 
     @classmethod
     def from_json(cls, text: str) -> tuple["GrahamSum", int]:
@@ -270,13 +271,6 @@ class EvaluationPoint:
     def with_x_to_y(self) -> "EvaluationPoint":
         """Replace every x_i by y_i (the x -> y substitution)."""
         return EvaluationPoint(self.prime, self.beta, self.y, self.y)
-
-    def with_x_permuted(self, pi) -> "EvaluationPoint":
-        """New point with x'_i = x_{pi(i)}; pi is a Permutation."""
-        idx = set(self._xd)
-        idx |= {pi.inverse()(i) for i in idx}
-        newx = tuple((i, self.x_val(pi(i))) for i in idx)
-        return EvaluationPoint(self.prime, self.beta, newx, self.y)
 
     def omega1(self) -> "EvaluationPoint":
         """x_i -> (-)x_{1-i} and y_i -> (-)y_{1-i}."""
@@ -409,7 +403,8 @@ def divided_difference(f: SparsePoly, i: int) -> SparsePoly:
 
 
 def isobaric(f: SparsePoly, i: int, beta: int) -> SparsePoly:
-    """pi_i f = d_i((1 + beta*x_i) f); satisfies pi_i^2 = beta*pi_i."""
+    """pi_i f = d_i((1 + beta*x_{i+1}) f), the operator matching the
+    (-)-form top product; satisfies pi_i^2 = -beta*pi_i and pi_i(1) = -beta."""
     factor = SparsePoly.const(1, f.n, f.prime) + \
-        SparsePoly.var(i, f.n, f.prime).scale(beta)
+        SparsePoly.var(i + 1, f.n, f.prime).scale(beta)
     return (factor * f).divided_difference(i)

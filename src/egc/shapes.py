@@ -212,14 +212,32 @@ def delta_seq(lam: Partition, phi: Flag) -> DeltaSeq:
 
 
 def xi_flag(nu: Partition, phi_minus: Flag) -> Flag:
-    """Flag for nu' given a nonpositive flag for nu: xi_i = -phi_minus[nu'_i]."""
+    """Nonnegative flag compatible with nu', given a nonpositive flag for nu.
+
+    The raw flag xi_i = -phi_minus[nu'_i] is returned when it is compatible
+    with nu'.  Otherwise row r gets the cap of its last cell, clamped at 0
+    and raised to the running maximum of the rows above; the result bounds
+    the same positive tableaux as the raw flag (equal caps once both are
+    clamped at 0)."""
     if any(b > 0 for b in phi_minus):
         raise ValueError(f"flag {phi_minus} has a positive entry")
     if len(phi_minus) < len(nu):
         raise ValueError(f"flag {phi_minus} shorter than partition {nu}")
     nuc = nu.conjugate()
-    raw = tuple(-phi_minus.entry(nuc.part(i)) for i in range(1, len(nuc) + 1))
-    return Flag(raw)  # validation rejects non-monotone output
+    raw = Flag(tuple(-phi_minus.entry(nuc.part(i))
+                     for i in range(1, len(nuc) + 1)))
+    if is_compatible(nuc, raw):
+        return raw
+    caps = flag_caps(nuc, raw)
+    bounds, top = [], 0
+    for r in range(1, len(nuc) + 1):
+        top = max(top, caps[(r, nuc.part(r))])
+        bounds.append(top)
+    xi = Flag(tuple(bounds))
+    if not is_compatible(nuc, xi):
+        raise RuntimeError(f"no compatible flag for {nuc} with the caps of "
+                           f"{raw}")
+    return xi
 
 
 def dominance_leq(lam: Partition, mu: Partition) -> bool:

@@ -16,8 +16,8 @@ from itertools import permutations as iter_permutations
 
 from .grothendieck import ORBIT_PRIME, g_eval, grothendieck_poly, gvex_check
 from .perms import Permutation, from_partition
-from .pipeline import (_disconnected_inners, build_context, chi_flags,
-                       j_coefficient, j_numeric, pi_algorithm)
+from .pipeline import (_disconnected_inners, chi_flags, j_coefficient,
+                       j_numeric, pi_algorithm)
 from .ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, eval_graham,
                    factor_type, isobaric, ominus, omega1_factor, prec,
                    sample_point)
@@ -225,7 +225,7 @@ def gvex_points(prime: int, seed: int, trials: int) -> list[EvaluationPoint]:
                          (1, 2), distinct_x=True) for _ in range(trials)]
 
 
-def _gvex_instance(args) -> tuple[int, list[str], tuple[str, int]]:
+def _gvex_instance(args) -> tuple[int, list[str]]:
     prime, seed, trials, images, base = args
     w = Permutation.from_one_line(images, base) if images \
         else Permutation.identity()
@@ -238,7 +238,7 @@ def _gvex_instance(args) -> tuple[int, list[str], tuple[str, int]]:
                 failures.append(f"{key}: backstable and tableau values differ")
         except Exception as exc:  # report, keep sweeping
             failures.append(f"{key}: {exc}")
-    return checks, failures, (key, GVEX_P0)
+    return checks, failures
 
 
 def suite_gvex(prime, seed, trials, max_size, flag_range, window, jobs):
@@ -257,15 +257,7 @@ def suite_gvex(prime, seed, trials, max_size, flag_range, window, jobs):
                               w.window_lo))
         else:
             instances.append((gprime, seed, trials, (), 1))
-    results = _map_jobs(_gvex_instance, instances, jobs)
-    checks, failures, p0s = 0, [], []
-    for c, f, rec in results:
-        checks += c
-        failures.extend(f)
-        p0s.append(rec)
-    report = _report("gvex", len(instances), checks, failures)
-    report["recorded_p0"] = p0s
-    return report
+    return _collect("gvex", _gvex_instance, instances, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +413,8 @@ def suite_ring(prime, seed, trials, max_size, flag_range, window, jobs):
         if not d.divided_difference(i).is_zero():
             failures.append(f"d_i^2 != 0 at trial {k}")
         pi_f = isobaric(f, i, beta)
-        if isobaric(pi_f, i, beta) != pi_f.scale(beta):
-            failures.append(f"pi_i^2 != beta pi_i at trial {k}")
+        if isobaric(pi_f, i, beta) != pi_f.scale(-beta):
+            failures.append(f"pi_i^2 != -beta pi_i at trial {k}")
         if n >= 3:
             i = rng.randrange(1, n - 1)
             lhs = isobaric(isobaric(isobaric(f, i, beta), i + 1, beta), i, beta)

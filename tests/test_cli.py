@@ -23,8 +23,9 @@ def test_run_config_validation():
     RunConfig()
     with pytest.raises(ValueError):
         RunConfig(prime=91)
+    RunConfig(trials=0)
     with pytest.raises(ValueError):
-        RunConfig(trials=0)
+        RunConfig(trials=-1)
     with pytest.raises(ValueError):
         RunConfig(window=(3, -3))
 
@@ -119,3 +120,11 @@ def test_verify_same_seed_same_bytes(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_verify_exhaustive_only(capsys):
+    # --trials 0 keeps only the exhaustive split/merge bijection checks
+    code, out, _ = run(capsys, "verify", "--suite", "decompose",
+                       "--trials", "0", "--max-size", "2", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True and report["checks"] > 0

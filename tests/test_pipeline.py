@@ -11,7 +11,7 @@ from egc.pipeline import (build_context, chi_flags, j_coefficient, j_minus,
                           q_of, unique_nu)
 from egc.ring import (DEFAULT_PRIME, GrahamMonomial, GrahamSum, eval_graham,
                       sample_point)
-from egc.shapes import Flag, Partition
+from egc.shapes import Flag, Partition, compatible_flags, subpartitions
 
 P = DEFAULT_PRIME
 
@@ -106,6 +106,52 @@ def test_j_coefficient_fixtures():
                          Partition(())).is_zero()
     assert j_coefficient(Partition((2,)), Flag((1,)), Partition((2,))) == \
         GrahamSum({mono(): 1, mono((1, 2)): 1})
+
+
+# The conjugate flag xi_flag(nu, phi_minus) read raw is incompatible with nu'
+# on each of these; the first three are also rungs of the bench ladder.
+INCOMPATIBLE_XI = [((5, 3), (-4, -1), (5, 3)),
+                   ((6, 3), (-7, -4), (5, 3)),
+                   ((5, 3, 1), (-5, -2, -1), (4, 3, 1)),
+                   ((5, 3, 1), (-4, -1, 2), (5, 2, 1)),
+                   ((7, 3), (-6, -3), (4, 2))]
+
+
+def _agrees_with_numeric(lam, phi, rho, rng) -> bool:
+    pt = sample_point(P, rng, (), range(-len(lam) - 8, lam.part(1) + 8))
+    rhs = pow(pt.beta, lam.size - rho.size, P) \
+        * j_numeric(lam, phi, rho, pt) % P
+    return eval_graham(j_coefficient(lam, phi, rho), pt) == rhs
+
+
+@pytest.mark.parametrize("parts,bounds,rparts", INCOMPATIBLE_XI)
+def test_incompatible_conjugate_flag_regression(parts, bounds, rparts):
+    rng = random.Random(f"{parts}/{bounds}/{rparts}")
+    assert _agrees_with_numeric(Partition(parts), Flag(bounds),
+                                Partition(rparts), rng)
+
+
+def test_theorem_sweep_nonpositive_flags():
+    # 1764 (lambda, phi, rho) with flags down to -5; 70 of them gave a
+    # wrong coefficient while the conjugate flag could be incompatible
+    rng = random.Random(3)
+    instances = wrong = 0
+    for parts in ((5, 3), (5, 3, 1)):
+        lam = Partition(parts)
+        for phi in compatible_flags(lam, -5, 0):
+            for rho in subpartitions(lam):
+                instances += 1
+                if not _agrees_with_numeric(lam, phi, rho, rng):
+                    wrong += 1
+    assert (instances, wrong) == (1764, 0)
+
+
+def test_positive_machinery_requires_compatible_flag():
+    lam, phi = Partition((2, 2, 2, 1, 1)), Flag((1, 1, 1, 4, 4))
+    with pytest.raises(ValueError, match="compatible"):
+        pi_algorithm(lam, phi)
+    with pytest.raises(ValueError, match="compatible"):
+        j_plus(lam, phi, Partition((2, 2, 2, 1, 1)))
 
 
 def test_j_coefficient_rho_not_contained():

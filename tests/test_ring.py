@@ -141,12 +141,12 @@ def test_divided_difference_fixtures():
 def test_isobaric_fixtures():
     one = SparsePoly.const(1, 2, P)
     beta = 7
-    assert isobaric(one, 1, beta) == one.scale(beta)
+    assert isobaric(one, 1, beta) == one.scale(-beta)
     rng = random.Random(2)
     f = SparsePoly.var(1, 3, P) * SparsePoly.var(1, 3, P) \
         + SparsePoly.var(2, 3, P).scale(rng.randrange(1, P))
     pi_f = isobaric(f, 1, beta)
-    assert isobaric(pi_f, 1, beta) == pi_f.scale(beta)
+    assert isobaric(pi_f, 1, beta) == pi_f.scale(-beta)
     lhs = isobaric(isobaric(isobaric(f, 1, beta), 2, beta), 1, beta)
     rhs = isobaric(isobaric(isobaric(f, 2, beta), 1, beta), 2, beta)
     assert lhs == rhs

@@ -7,6 +7,7 @@ from egc.shapes import (DeltaSeq, Flag, Partition, SkewShape,
                         dominance_leq, flag_caps, flag_split, flags_equivalent,
                         is_compatible, psi_flag, skew_props, subpartitions,
                         xi_flag)
+from egc.verify import partitions_up_to
 
 
 def test_partition_basics():
@@ -113,6 +114,30 @@ def test_xi_flag_examples():
     assert xi_flag(Partition((2, 1)), Flag((-1, 0))).bounds == (0, 1)
     with pytest.raises(ValueError):
         xi_flag(Partition((1,)), Flag((1,)))
+    # the raw flag (1,1,1,4,4) is not compatible with nu' = (2,2,2,1,1)
+    assert xi_flag(Partition((5, 3)), Flag((-4, -1))).bounds == \
+        (0, 0, 1, 3, 4)
+
+
+def test_xi_flag_is_compatible_with_the_raw_caps():
+    # every nu of size <= 8 and every nonpositive flag on [-7, 0]: 5563
+    # flags, 267 of them with an incompatible raw flag
+    total = replaced = 0
+    for nu in partitions_up_to(8):
+        nuc = nu.conjugate()
+        for phi_minus in compatible_flags(nu, -7, 0):
+            raw = Flag(tuple(-phi_minus.entry(nuc.part(i))
+                             for i in range(1, len(nuc) + 1)))
+            xi = xi_flag(nu, phi_minus)
+            assert is_compatible(nuc, xi) and min(xi.bounds) >= 0
+            if is_compatible(nuc, raw):
+                assert xi == raw
+            else:
+                replaced += 1
+            assert {k: max(v, 0) for k, v in flag_caps(nuc, xi).items()} == \
+                {k: max(v, 0) for k, v in flag_caps(nuc, raw).items()}
+            total += 1
+    assert (total, replaced) == (5563, 267)
 
 
 def test_dominance():
