@@ -67,7 +67,6 @@ def config_from(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_j(args) -> int:
-    cfg = config_from(args)
     lam = Partition(parse_ints(args.lam))
     phi = Flag(parse_ints(args.phi))
     rho = Partition(parse_ints(args.rho))
@@ -82,7 +81,7 @@ def cmd_j(args) -> int:
         result = j_coefficient(lam, phi, rho)
         structural_zero = ctx.nu is None
     norm = lam.size - rho.size
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = result.to_dict(norm)
         payload.update({
             "lambda": list(lam.parts), "phi": list(phi.bounds),
@@ -164,18 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Vexillary double beta-Edelman-Greene coefficients")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--prime", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--window", metavar="lo:hi")
-        p.add_argument("--format", choices=("text", "json"))
-
     pj = sub.add_parser("j", help="compute a coefficient")
     pj.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
     pj.add_argument("--phi", required=True, metavar="BOUNDS")
     pj.add_argument("--rho", required=True, metavar="PARTS")
-    common(pj)
+    pj.add_argument("--format", choices=("text", "json"))
     pj.set_defaults(func=cmd_j)
 
     pp = sub.add_parser("perm", help="inspect a permutation")
@@ -192,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--flag", metavar="BOUNDS")
     pt.add_argument("--sign", choices=("positive", "nonpositive", "any"),
                     default="any")
-    common(pt)
+    pt.add_argument("--window", metavar="lo:hi")
     pt.set_defaults(func=cmd_tableaux)
 
     pv = sub.add_parser("verify", help="run a verification suite")
@@ -200,7 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--max-size", dest="max_size", type=int)
     pv.add_argument("--flag-range", dest="flag_range", metavar="lo:hi")
     pv.add_argument("--jobs", type=int)
-    common(pv)
+    pv.add_argument("--prime", type=int)
+    pv.add_argument("--seed", type=int)
+    pv.add_argument("--trials", type=int)
+    pv.add_argument("--window", metavar="lo:hi")
+    pv.add_argument("--format", choices=("text", "json"))
     pv.set_defaults(func=cmd_verify)
     return parser
 

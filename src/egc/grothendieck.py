@@ -18,7 +18,7 @@ from .perms import Permutation, code_shape_flag
 from .ring import (EvaluationPoint, EvaluationError, SparsePoly, field_inv,
                    isobaric)
 from .shapes import Flag, SkewShape
-from .tableaux import EnumSpec, enumerate_tableaux, weight_eval
+from .tableaux import EnumSpec, cell_bounds, enumerate_tableaux, weight_eval
 
 ORBIT_PRIME = 2147483647  # 2^31 - 1: orbit-engine products fit in int64
 
@@ -67,32 +67,14 @@ def default_window(shape: SkewShape, flag: Flag | None, sign: str,
     return (min(lo, hi), hi)
 
 
-def _row_bounds(shape: SkewShape, flag: Flag | None, sign: str,
-                window: tuple[int, int]) -> dict[int, tuple[int, int]]:
-    lo, hi = window
-    if sign == "positive":
-        lo = max(lo, 1)
-    elif sign == "nonpositive":
-        hi = min(hi, 0)
-    bounds = {}
-    for r in range(1, len(shape.outer) + 1):
-        if not shape.row_cols(r):
-            continue
-        bounds[r] = (lo, min(hi, flag.entry(r)) if flag is not None else hi)
-    return bounds
-
-
-def _enum_eval(shape: SkewShape, flag: Flag | None, sign: str,
-               point: EvaluationPoint, window: tuple[int, int]) -> int:
-    spec = EnumSpec(shape, flag, sign, window)
+def _enum_eval(spec: EnumSpec, point: EvaluationPoint) -> int:
     total = 0
     for t in enumerate_tableaux(spec):
         total = (total + weight_eval(t, point)) % point.prime
     return total
 
 
-def _dp_eval(shape: SkewShape, bounds: dict[int, tuple[int, int]],
-             point: EvaluationPoint) -> int:
+def _dp_eval(spec: EnumSpec, point: EvaluationPoint) -> int:
     """Transfer DP over per-column maxima.
 
     Summing over the entry set of one cell with value range [lb, hi] and
@@ -101,6 +83,7 @@ def _dp_eval(shape: SkewShape, bounds: dict[int, tuple[int, int]],
     which absorbs the beta bookkeeping of set-valued weights exactly.
     """
     p, beta = point.prime, point.beta
+    shape = spec.shape
     nrows = len(shape.outer)
 
     @lru_cache(maxsize=None)
@@ -112,13 +95,14 @@ def _dp_eval(shape: SkewShape, bounds: dict[int, tuple[int, int]],
     for r in range(1, nrows + 1):
         cols = list(shape.row_cols(r))
         cols_next = list(shape.row_cols(r + 1)) if r < nrows else []
+        # an empty row reads no bounds: the flag may stop above it
+        lo, hi = cell_bounds(spec, r) if cols else (1, 0)
         new_states: dict[tuple, int] = {}
         for above, w0 in states.items():
             above_of = dict(zip(prev_cols, above))
             # inner DP along the row: (running max, recorded next-row maxima)
             inner = {(None, ()): w0}
             for c in cols:
-                lo, hi = bounds[r]
                 nxt: dict[tuple, int] = {}
                 for (left, rec), wt in inner.items():
                     lb = lo
@@ -155,18 +139,12 @@ def g_eval(shape: SkewShape, flag: Flag | None, sign: str,
             raise ValueError(
                 f"window {window} insufficient: values down to {dead} can "
                 "contribute at this point")
+    spec = EnumSpec(shape, flag, sign, window)
     if not shape.cells():
         return 1 % point.prime
     if method == "enum":
-        return _enum_eval(shape, flag, sign, point, window)
-    bounds = _row_bounds(shape, flag, sign, window)
-    if any(lo > hi for lo, hi in bounds.values()):
-        return 0
-    if flag is not None:
-        occupied = {r for r, _ in shape.cells()}
-        if len(flag) < max(occupied):
-            raise ValueError("flag shorter than the occupied rows")
-    return _dp_eval(shape, bounds, point)
+        return _enum_eval(spec, point)
+    return _dp_eval(spec, point)
 
 
 # ---------------------------------------------------------------------------

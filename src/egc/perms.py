@@ -177,10 +177,6 @@ def code_of(w: Permutation) -> dict[int, int]:
     return code
 
 
-def shape_of(w: Permutation) -> Partition:
-    return Partition(tuple(sorted(code_of(w).values(), reverse=True)))
-
-
 def code_shape_flag(w: Permutation) -> CodeShapeFlag:
     """Code, shape, and (for vexillary w) the flag of w.
 
@@ -254,12 +250,3 @@ def from_shape_flag(lam: Partition, phi: Flag) -> Permutation:
                         and flags_equivalent(lam, csf.flag, phi):
                     return w
     raise ValueError(f"no vexillary permutation found for {lam}, {phi}")
-
-
-def hecke_product(u: Permutation, v: Permutation) -> Permutation:
-    """Demazure product: fold v's reduced word into u."""
-    w = u
-    for i in v.reduced_word():
-        if w(i) < w(i + 1):
-            w = w.times_s(i)
-    return w

@@ -202,6 +202,7 @@ class GrahamSum:
 
 def eval_graham(gsum: GrahamSum, point: "EvaluationPoint") -> int:
     p, beta = point.prime, point.beta
+    factor_val: dict[tuple[int, int], int] = {}  # each distinct y_i (-) y_j
     total = 0
     for m, c in gsum.terms.items():
         exp = m.beta_shift + len(m.factors)
@@ -210,8 +211,11 @@ def eval_graham(gsum: GrahamSum, point: "EvaluationPoint") -> int:
         else:
             bpow = pow(field_inv(beta, p), -exp, p)
         val = c % p * bpow % p
-        for i, j in m.factors:
-            val = val * ominus(point.y_val(i), point.y_val(j), beta, p) % p
+        for f in m.factors:
+            if f not in factor_val:
+                factor_val[f] = ominus(point.y_val(f[0]), point.y_val(f[1]),
+                                       beta, p)
+            val = val * factor_val[f] % p
         total = (total + val) % p
     return total
 
@@ -396,10 +400,6 @@ class SparsePoly:
                 e2 = tuple(e2)
                 out[e2] = (out.get(e2, 0) + sign * c) % p
         return SparsePoly(self.n, p, out)
-
-
-def divided_difference(f: SparsePoly, i: int) -> SparsePoly:
-    return f.divided_difference(i)
 
 
 def isobaric(f: SparsePoly, i: int, beta: int) -> SparsePoly:

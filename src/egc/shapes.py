@@ -173,9 +173,13 @@ def diagonal_split(shape: SkewShape) -> tuple[SkewShape, SkewShape]:
     upper = SkewShape(lam, Partition(mu_up))
     lower = SkewShape(lam, Partition(mu_down))
     up_cells, down_cells = set(upper.cells()), set(lower.cells())
-    assert up_cells.isdisjoint(down_cells)
-    assert up_cells | down_cells == set(shape.cells())
-    assert all(r < c for r, c in up_cells) and all(r > c for r, c in down_cells)
+    if not up_cells.isdisjoint(down_cells):
+        raise RuntimeError(f"diagonal split of {shape}: parts overlap")
+    if up_cells | down_cells != set(shape.cells()):
+        raise RuntimeError(f"diagonal split of {shape}: parts do not cover it")
+    if any(r >= c for r, c in up_cells) or any(r <= c for r, c in down_cells):
+        raise RuntimeError(f"diagonal split of {shape}: a cell on the wrong "
+                           "side of the diagonal")
     return upper, lower
 
 
@@ -187,11 +191,6 @@ def is_compatible(lam: Partition, phi: Flag) -> bool:
         for i in range(1, len(lam)))
 
 
-def _require_compatible(lam: Partition, phi: Flag):
-    if not is_compatible(lam, phi):
-        raise ValueError(f"flag {phi} not compatible with {lam}")
-
-
 def flag_split(phi: Flag) -> tuple[Flag, Flag]:
     minus = Flag(tuple(min(b, 0) for b in phi))
     plus = Flag(tuple(max(b, 0) for b in phi))
@@ -199,14 +198,14 @@ def flag_split(phi: Flag) -> tuple[Flag, Flag]:
 
 
 def psi_flag(lam: Partition, phi: Flag) -> Flag:
-    _require_compatible(lam, phi)
+    if not is_compatible(lam, phi):
+        raise ValueError(f"flag {phi} not compatible with {lam}")
     return Flag(tuple(min(i - lam.part(i), phi.entry(i))
                       for i in range(1, len(lam) + 1)))
 
 
 def delta_seq(lam: Partition, phi: Flag) -> DeltaSeq:
-    _require_compatible(lam, phi)
-    psi = psi_flag(lam, phi)
+    psi = psi_flag(lam, phi)  # validates compatibility
     return DeltaSeq(tuple(phi.entry(i) - psi.entry(i)
                           for i in range(1, len(lam) + 1)))
 
@@ -238,19 +237,6 @@ def xi_flag(nu: Partition, phi_minus: Flag) -> Flag:
         raise RuntimeError(f"no compatible flag for {nuc} with the caps of "
                            f"{raw}")
     return xi
-
-
-def dominance_leq(lam: Partition, mu: Partition) -> bool:
-    if lam.size != mu.size:
-        return False
-    ell = max(len(lam), len(mu))
-    a = b = 0
-    for i in range(1, ell + 1):
-        a += lam.part(i)
-        b += mu.part(i)
-        if a > b:
-            return False
-    return True
 
 
 def flag_caps(lam: Partition, phi: Flag) -> dict[tuple[int, int], int]:

@@ -10,24 +10,13 @@ from .ring import EvaluationPoint
 from .shapes import Flag, Partition, SkewShape, skew_props
 
 
-def _validate_columns_weak_rows(shape: SkewShape, entry):
-    """Shared semistandard check: weak rows, strict columns, at set level."""
-    for r in range(1, len(shape.outer) + 1):
-        for c in shape.row_cols(r):
-            cell = entry(r, c)
-            if not cell:
-                raise ValueError(f"empty entry at {(r, c)}")
-            if tuple(sorted(set(cell))) != tuple(cell):
-                raise ValueError(f"entry at {(r, c)} not a sorted set: {cell}")
-            if c + 1 in shape.row_cols(r) and max(cell) > min(entry(r, c + 1)):
-                raise ValueError(f"row violation at {(r, c)}")
-            if r + 1 <= len(shape.outer) and c in shape.row_cols(r + 1) \
-                    and max(cell) >= min(entry(r + 1, c)):
-                raise ValueError(f"column violation at {(r, c)}")
-
-
 @dataclass(frozen=True)
-class SetValuedTableau:
+class _Tableau:
+    """A filling of a skew shape by nonempty sorted sets of integers.
+
+    Subclasses fix the order between horizontal neighbours (`_row_ok`) and
+    between vertical neighbours (`_col_ok`); both read sorted cells."""
+
     shape: SkewShape
     rows: tuple[tuple[tuple[int, ...], ...], ...]  # rows[r-1][k] = k-th cell of row r
 
@@ -36,10 +25,26 @@ class SetValuedTableau:
         object.__setattr__(self, "rows", rows)
         if len(rows) != len(self.shape.outer):
             raise ValueError("row count does not match shape")
-        for r in range(1, len(rows) + 1):
-            if len(rows[r - 1]) != len(self.shape.row_cols(r)):
+        above = range(0)
+        for r, row in enumerate(rows, start=1):
+            cols = self.shape.row_cols(r)
+            if len(row) != len(cols):
                 raise ValueError(f"cell count mismatch in row {r}")
-        _validate_columns_weak_rows(self.shape, self.entry)
+            # each cell is compared with its left and upper neighbours,
+            # which are already known to be nonempty sorted sets
+            for k, cell in enumerate(row):
+                c = cols.start + k
+                if not cell:
+                    raise ValueError(f"empty entry at {(r, c)}")
+                if tuple(sorted(set(cell))) != cell:
+                    raise ValueError(f"entry at {(r, c)} not a sorted set: "
+                                     f"{cell}")
+                if k and not self._row_ok(row[k - 1], cell):
+                    raise ValueError(f"row order violated at {(r, c - 1)}")
+                if c in above and \
+                        not self._col_ok(rows[r - 2][c - above.start], cell):
+                    raise ValueError(f"column order violated at {(r - 1, c)}")
+            above = cols
 
     def entry(self, r: int, c: int) -> tuple[int, ...]:
         cols = self.shape.row_cols(r)
@@ -54,7 +59,7 @@ class SetValuedTableau:
 
     @property
     def value_count(self) -> int:
-        return sum(len(cell) for _, cell in self.cells())
+        return sum(len(cell) for row in self.rows for cell in row)
 
     def to_text(self) -> str:
         lines = []
@@ -66,7 +71,7 @@ class SetValuedTableau:
         return " ; ".join(lines)
 
     @classmethod
-    def from_text(cls, text: str) -> "SetValuedTableau":
+    def from_text(cls, text: str) -> "_Tableau":
         outer, inner, rows = [], [], []
         for line in text.split(";"):
             cells = line.split()
@@ -86,44 +91,19 @@ class SetValuedTableau:
 
 
 @dataclass(frozen=True)
-class RowStrictDecreasingTableau:
-    shape: SkewShape
-    rows: tuple[tuple[tuple[int, ...], ...], ...]
+class SetValuedTableau(_Tableau):
+    """Semistandard: rows weakly increase, columns strictly increase."""
 
-    def __post_init__(self):
-        rows = tuple(tuple(tuple(cell) for cell in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != len(self.shape.outer):
-            raise ValueError("row count does not match shape")
-        for r in range(1, len(rows) + 1):
-            if len(rows[r - 1]) != len(self.shape.row_cols(r)):
-                raise ValueError(f"cell count mismatch in row {r}")
-        for (r, c), cell in self.cells():
-            if not cell:
-                raise ValueError(f"empty entry at {(r, c)}")
-            if tuple(sorted(set(cell))) != tuple(cell):
-                raise ValueError(f"entry at {(r, c)} not a sorted set: {cell}")
-            if c + 1 in self.shape.row_cols(r) \
-                    and min(cell) <= max(self.entry(r, c + 1)):
-                raise ValueError(f"row must strictly decrease at {(r, c)}")
-            if r + 1 <= len(self.shape.outer) and c in self.shape.row_cols(r + 1) \
-                    and min(cell) < max(self.entry(r + 1, c)):
-                raise ValueError(f"column must weakly decrease at {(r, c)}")
+    _row_ok = staticmethod(lambda left, right: left[-1] <= right[0])
+    _col_ok = staticmethod(lambda up, down: up[-1] < down[0])
 
-    def entry(self, r: int, c: int) -> tuple[int, ...]:
-        cols = self.shape.row_cols(r)
-        if c not in cols:
-            raise KeyError(f"cell {(r, c)} not in shape {self.shape}")
-        return self.rows[r - 1][c - cols.start]
 
-    def cells(self):
-        for r in range(1, len(self.shape.outer) + 1):
-            for c in self.shape.row_cols(r):
-                yield (r, c), self.entry(r, c)
+@dataclass(frozen=True)
+class RowStrictDecreasingTableau(_Tableau):
+    """The omega_1 image: rows strictly decrease, columns weakly decrease."""
 
-    @property
-    def value_count(self) -> int:
-        return sum(len(cell) for _, cell in self.cells())
+    _row_ok = staticmethod(lambda left, right: left[0] > right[-1])
+    _col_ok = staticmethod(lambda up, down: up[0] >= down[-1])
 
 
 @dataclass(frozen=True)
@@ -140,8 +120,9 @@ class EnumSpec:
         if lo > hi:
             raise ValueError(f"empty value window {self.window}")
         if self.flag is not None:
-            occupied = skew_props(self.shape).rows_occupied
-            if occupied and len(self.flag) < max(occupied):
+            occupied = [r for r in range(1, len(self.shape.outer) + 1)
+                        if self.shape.row_cols(r)]
+            if occupied and len(self.flag) < occupied[-1]:
                 raise ValueError("flag shorter than the occupied rows")
 
 
@@ -215,24 +196,25 @@ def admits(spec: EnumSpec, t: SetValuedTableau) -> bool:
     return True
 
 
-def weight_eval(t: SetValuedTableau, point: EvaluationPoint) -> int:
-    """beta^{-|shape|} * prod over cell values i of beta*(x_i (-) y_{i+c-r})."""
+def _weight(t: _Tableau, point: EvaluationPoint, x_first: bool) -> int:
+    """beta^{-|shape|} * prod over cell values i of beta*(x_i (-) y_{i+c-r}),
+    or of beta*(y_{i+c-r} (-) x_i) when x_first is false."""
     p = point.prime
     val = pow(point.beta, t.value_count - t.shape.size, p)
     for (r, c), cell in t.cells():
         for i in cell:
-            val = val * point.ominus(point.x_val(i), point.y_val(i + c - r)) % p
+            x, y = point.x_val(i), point.y_val(i + c - r)
+            val = val * (point.ominus(x, y) if x_first
+                         else point.ominus(y, x)) % p
     return val
+
+
+def weight_eval(t: SetValuedTableau, point: EvaluationPoint) -> int:
+    return _weight(t, point, x_first=True)
 
 
 def r_weight_eval(t: RowStrictDecreasingTableau, point: EvaluationPoint) -> int:
-    """Same beta normalization, with cell-value factors y_{i+c-r} (-) x_i."""
-    p = point.prime
-    val = pow(point.beta, t.value_count - t.shape.size, p)
-    for (r, c), cell in t.cells():
-        for i in cell:
-            val = val * point.ominus(point.y_val(i + c - r), point.x_val(i)) % p
-    return val
+    return _weight(t, point, x_first=False)
 
 
 def split(t: SetValuedTableau) -> tuple[SetValuedTableau, SetValuedTableau]:
@@ -254,7 +236,9 @@ def split(t: SetValuedTableau) -> tuple[SetValuedTableau, SetValuedTableau]:
     nu, mu = Partition(nu_rows), Partition(mu_rows)
     tminus = SetValuedTableau(SkewShape(nu), tuple(minus_rows[:len(nu)]))
     tplus = SetValuedTableau(SkewShape(lam, mu), tuple(plus_rows))
-    assert skew_props(SkewShape(nu, mu)).is_disconnected
+    if not skew_props(SkewShape(nu, mu)).is_disconnected:
+        raise RuntimeError(f"split of {t.to_text()!r}: nu/mu is not "
+                           "disconnected")
     return tminus, tplus
 
 
@@ -287,20 +271,22 @@ def merge(tminus: SetValuedTableau, tplus: SetValuedTableau) -> SetValuedTableau
     return SetValuedTableau(SkewShape(lam), tuple(rows))
 
 
-def omega1_tableau(t: SetValuedTableau) -> RowStrictDecreasingTableau:
+def _conjugate_negate(t: _Tableau, cls: type[_Tableau]) -> _Tableau:
     """Conjugate the shape, then replace each value i by 1-i."""
-    shape = t.shape.conjugate()
+    shape, inner = t.shape.conjugate(), t.shape.inner
     rows = []
     for r in range(1, len(shape.outer) + 1):
-        rows.append(tuple(tuple(sorted(1 - v for v in t.entry(c, r)))
-                          for c in shape.row_cols(r)))
-    return RowStrictDecreasingTableau(shape, tuple(rows))
+        # cell (r, c) of the conjugate shape is cell (c, r) of t
+        cells = (t.rows[c - 1][r - 1 - inner.part(c)]
+                 for c in shape.row_cols(r))
+        rows.append(tuple(tuple(1 - v for v in reversed(cell))
+                          for cell in cells))
+    return cls(shape, tuple(rows))
+
+
+def omega1_tableau(t: SetValuedTableau) -> RowStrictDecreasingTableau:
+    return _conjugate_negate(t, RowStrictDecreasingTableau)
 
 
 def omega1_inverse(t: RowStrictDecreasingTableau) -> SetValuedTableau:
-    shape = t.shape.conjugate()
-    rows = []
-    for r in range(1, len(shape.outer) + 1):
-        rows.append(tuple(tuple(sorted(1 - v for v in t.entry(c, r)))
-                          for c in shape.row_cols(r)))
-    return SetValuedTableau(shape, tuple(rows))
+    return _conjugate_negate(t, SetValuedTableau)

@@ -128,3 +128,15 @@ def test_verify_exhaustive_only(capsys):
                        "--trials", "0", "--max-size", "2", "--format", "json")
     report = json.loads(out)
     assert code == 0 and report["ok"] is True and report["checks"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("j", "--lambda", "2", "--phi", "1", "--rho", "1", "--seed", "3"),
+    ("j", "--lambda", "2", "--phi", "1", "--rho", "1", "--window", "1:2"),
+    ("tableaux", "--lambda", "1", "--prime", "7"),
+    ("tableaux", "--lambda", "1", "--format", "json"),
+])
+def test_subcommands_refuse_options_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit):
+        main(list(argv))
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egc.grothendieck import (ORBIT_PRIME, OrbitTable, backstable_approx,
                               default_window, g_eval, grothendieck_poly,
@@ -12,7 +14,8 @@ from egc.grothendieck import (ORBIT_PRIME, OrbitTable, backstable_approx,
 from egc.perms import Permutation, from_partition
 from egc.ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, ominus,
                       sample_point)
-from egc.shapes import Flag, Partition, SkewShape
+from egc.shapes import Flag, Partition, SkewShape, subpartitions
+from egc.verify import partitions_up_to
 
 P = DEFAULT_PRIME
 
@@ -172,3 +175,38 @@ def test_gvex_rejects_non_vexillary():
     pt = EvaluationPoint.make(P, 1, {}, {})
     with pytest.raises(ValueError):
         gvex_check(Permutation.from_word((1, 2, -1, 0)), pt)
+
+
+@pytest.mark.parametrize("method", ["dp", "enum"])
+def test_invalid_spec_rejected_by_both_paths(method):
+    shape = SkewShape(Partition((2, 1)))
+    pt = sample_point(10007, random.Random(15), range(1, 3), range(-1, 4))
+    with pytest.raises(ValueError):
+        g_eval(shape, Flag((1, 2)), "postive", pt, (-2, 2), method=method)
+    with pytest.raises(ValueError):  # row 2 is occupied, the flag stops at 1
+        g_eval(shape, Flag((1,)), "any", pt, (-2, 2), method=method)
+
+
+SMALL_SKEW = [SkewShape(lam, mu) for lam in partitions_up_to(6)
+              for mu in subpartitions(lam) if lam.size - mu.size <= 4]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(shape=st.sampled_from(SMALL_SKEW),
+       bounds=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+       flagged=st.booleans(),
+       sign=st.sampled_from(("positive", "nonpositive", "any")),
+       ends=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       seed=st.integers(0, 2**32))
+def test_dp_matches_enumeration_property(shape, bounds, flagged, sign, ends,
+                                         seed):
+    flag = Flag(tuple(sorted(bounds))[:len(shape.outer)]) if flagged else None
+    window = (min(ends), max(ends))
+    # x and y supported where the window can see them, so no value below
+    # the window contributes (g_eval rejects such windows)
+    d_max = max([c - r for r, c in shape.cells()] or [0])
+    pt = sample_point(10007, random.Random(seed),
+                      range(window[0], window[1] + 1),
+                      range(window[0] + d_max, window[1] + d_max + 1))
+    assert g_eval(shape, flag, sign, pt, window, method="dp") == \
+        g_eval(shape, flag, sign, pt, window, method="enum")

@@ -3,7 +3,7 @@
 import pytest
 
 from egc.perms import (Permutation, code_of, code_shape_flag, from_partition,
-                       from_shape_flag, hecke_product, shape_of)
+                       from_shape_flag)
 from egc.shapes import Flag, Partition, flags_equivalent, is_compatible
 
 
@@ -56,8 +56,8 @@ def test_non_vexillary_specimen():
 def test_code_and_shape():
     w = Permutation.from_one_line((3, 4, 5, 1, 6, 2), 1)
     assert code_of(w) == {1: 2, 2: 2, 3: 2, 5: 1}
-    assert shape_of(w) == Partition((2, 2, 2, 1))
-    assert shape_of(Permutation.identity()) == Partition(())
+    assert code_shape_flag(w).shape == Partition((2, 2, 2, 1))
+    assert code_shape_flag(Permutation.identity()).shape == Partition(())
 
 
 def test_code_shape_flag_rejects_non_vexillary():
@@ -92,12 +92,3 @@ def test_neg_and_iota():
     assert w.iota(0) == w
     v = Permutation.from_word((0, 2, 1))
     assert v.neg().neg() == v
-
-
-def test_hecke_product():
-    s1 = Permutation.s(1)
-    assert hecke_product(s1, s1) == s1
-    s2 = Permutation.s(2)
-    assert hecke_product(s1, s2) == s1 * s2
-    long = hecke_product(hecke_product(s1, s2), s1)
-    assert long.one_line(1, 3) == (3, 2, 1)

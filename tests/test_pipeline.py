@@ -4,6 +4,8 @@ algorithm, and the j-coefficients with their numeric cross-check."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egc.perms import Permutation
 from egc.pipeline import (build_context, chi_flags, j_coefficient, j_minus,
@@ -12,6 +14,7 @@ from egc.pipeline import (build_context, chi_flags, j_coefficient, j_minus,
 from egc.ring import (DEFAULT_PRIME, GrahamMonomial, GrahamSum, eval_graham,
                       sample_point)
 from egc.shapes import Flag, Partition, compatible_flags, subpartitions
+from egc.verify import partitions_up_to
 
 P = DEFAULT_PRIME
 
@@ -202,3 +205,29 @@ def test_structure_all_positive_types():
     assert not j.is_zero()
     for m, c in j.canonical():
         assert c >= 1 and m.beta_shift == 0
+
+
+@st.composite
+def coefficient_inputs(draw, max_size=8, lo=-7, hi=7):
+    """(lambda, phi, rho) with phi compatible with lambda, drawn row by row:
+    phi_{i+1} - phi_i lies in [0, lambda_i - lambda_{i+1} + 1]."""
+    lam = draw(st.sampled_from(partitions_up_to(max_size)))
+    bounds = [draw(st.integers(lo, hi))]
+    for i in range(1, len(lam)):
+        step = lam.part(i) - lam.part(i + 1) + 1
+        bounds.append(draw(st.integers(bounds[-1],
+                                       min(hi, bounds[-1] + step))))
+    rho = draw(st.sampled_from(list(subpartitions(lam))))
+    return lam, Flag(tuple(bounds)), rho
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(case=coefficient_inputs(), seed=st.integers(0, 2**32))
+def test_symbolic_matches_numeric_property(case, seed):
+    lam, phi, rho = case
+    pt = sample_point(P, random.Random(seed), (),
+                      range(min(phi) - len(lam) - 1,
+                            max(phi) + lam.part(1) + 2))
+    norm = pow(pt.beta, lam.size - rho.size, P)
+    assert eval_graham(j_coefficient(lam, phi, rho), pt) == \
+        norm * j_numeric(lam, phi, rho, pt) % P

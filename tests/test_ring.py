@@ -5,7 +5,7 @@ import random
 import pytest
 
 from egc.ring import (DEFAULT_PRIME, EvaluationPoint, GrahamMonomial,
-                      GrahamSum, SparsePoly, divided_difference, eval_graham,
+                      GrahamSum, SparsePoly, eval_graham,
                       factor_type, field_inv, is_prime, isobaric, ominus,
                       omega1_factor, oneg, prec, sample_point)
 
@@ -131,11 +131,11 @@ def test_divided_difference_fixtures():
     x1 = SparsePoly.var(1, 2, P)
     x2 = SparsePoly.var(2, 2, P)
     one = SparsePoly.const(1, 2, P)
-    assert divided_difference(x1, 1) == one
-    assert divided_difference(x1 * x2, 1).is_zero()
-    assert divided_difference(x1 * x1, 1) == x1 + x2
-    d = divided_difference(x1 * x1 * x2, 1)
-    assert divided_difference(d, 1).is_zero()
+    assert x1.divided_difference(1) == one
+    assert (x1 * x2).divided_difference(1).is_zero()
+    assert (x1 * x1).divided_difference(1) == x1 + x2
+    d = (x1 * x1 * x2).divided_difference(1)
+    assert d.divided_difference(1).is_zero()
 
 
 def test_isobaric_fixtures():

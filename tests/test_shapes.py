@@ -4,9 +4,8 @@ import pytest
 
 from egc.shapes import (DeltaSeq, Flag, Partition, SkewShape,
                         compatible_flags, delta_seq, diagonal_split,
-                        dominance_leq, flag_caps, flag_split, flags_equivalent,
-                        is_compatible, psi_flag, skew_props, subpartitions,
-                        xi_flag)
+                        flag_caps, flag_split, flags_equivalent, is_compatible,
+                        psi_flag, skew_props, subpartitions, xi_flag)
 from egc.verify import partitions_up_to
 
 
@@ -138,13 +137,6 @@ def test_xi_flag_is_compatible_with_the_raw_caps():
                 {k: max(v, 0) for k, v in flag_caps(nuc, raw).items()}
             total += 1
     assert (total, replaced) == (5563, 267)
-
-
-def test_dominance():
-    assert dominance_leq(Partition((1, 1)), Partition((2,)))
-    assert not dominance_leq(Partition((2,)), Partition((1, 1)))
-    assert dominance_leq(Partition((2, 1)), Partition((2, 1)))
-    assert not dominance_leq(Partition((1,)), Partition((2,)))
 
 
 def test_flag_equivalence():

@@ -3,13 +3,16 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from egc.ring import EvaluationPoint, ominus, sample_point
-from egc.shapes import Flag, Partition, SkewShape
+from egc.shapes import Flag, Partition, SkewShape, subpartitions
 from egc.tableaux import (EnumSpec, RowStrictDecreasingTableau,
                           SetValuedTableau, admits, enumerate_tableaux,
                           merge, omega1_inverse, omega1_tableau,
                           r_weight_eval, split, weight_eval)
+from egc.verify import partitions_up_to
 
 P = 10007
 
@@ -150,3 +153,69 @@ def test_factor_distinctness_within_tableau():
     for t in enumerate_tableaux(spec):
         seen = [(v, c - r) for (r, c), cell in t.cells() for v in cell]
         assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("cls", [SetValuedTableau, RowStrictDecreasingTableau])
+def test_validation_common_checks(cls):
+    sh = SkewShape(Partition((2, 1)))
+    with pytest.raises(ValueError):
+        cls(sh, (((1,), (2,)),))  # one row for a two-row shape
+    with pytest.raises(ValueError):
+        cls(sh, (((1,),), ((2,),)))  # row 1 has two cells
+    with pytest.raises(ValueError):
+        cls(sh, (((1,), ()), ((2,),)))  # empty entry
+    with pytest.raises(ValueError):
+        cls(sh, (((2, 1), (3,)), ((4,),)))  # unsorted entry
+
+
+def test_row_strict_decreasing_validation():
+    sh = SkewShape(Partition((2, 1)))
+    RowStrictDecreasingTableau(sh, (((2,), (0, 1)), ((2,),)))
+    with pytest.raises(ValueError):  # row not strictly decreasing
+        RowStrictDecreasingTableau(sh, (((1,), (1,)), ((0,),)))
+    with pytest.raises(ValueError):  # column increases
+        RowStrictDecreasingTableau(sh, (((1,), (0,)), ((2,),)))
+
+
+SHAPES_4 = [SkewShape(lam, mu) for lam in partitions_up_to(4)
+            for mu in subpartitions(lam)]
+
+
+@st.composite
+def set_valued_tableaux(draw, shapes, lo=-3, hi=3):
+    """A semistandard set-valued tableau with values in [lo, hi], filled
+    cell by cell from the smallest value its neighbours allow."""
+    shape = draw(st.sampled_from(shapes))
+    grid = {}
+    for r, c in shape.cells():
+        least = lo
+        if (r, c - 1) in grid:
+            least = max(least, grid[(r, c - 1)][-1])
+        if (r - 1, c) in grid:
+            least = max(least, grid[(r - 1, c)][-1] + 1)
+        assume(least <= hi)
+        values = draw(st.sets(st.integers(least, hi), min_size=1, max_size=3))
+        grid[(r, c)] = tuple(sorted(values))
+    rows = tuple(tuple(grid[(r, c)] for c in shape.row_cols(r))
+                 for r in range(1, len(shape.outer) + 1))
+    return SetValuedTableau(shape, rows)
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=200)
+
+
+@PROPERTY
+@given(t=set_valued_tableaux(SHAPES_4), seed=st.integers(0, 2**32))
+def test_omega1_properties(t, seed):
+    u = omega1_tableau(t)
+    assert omega1_inverse(u).rows == t.rows
+    pt = sample_point(P, random.Random(seed), range(-3, 4), range(-6, 7))
+    assert r_weight_eval(u, pt) == weight_eval(t, pt.omega1())
+
+
+@PROPERTY
+@given(t=set_valued_tableaux([s for s in SHAPES_4 if not len(s.inner)]))
+def test_split_merge_property(t):
+    tm, tp = split(t)
+    assert merge(tm, tp).rows == t.rows
