@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Check that a refactor keeps egc's output byte-identical to an earlier
+revision.
+
+Runs the same commands against the source of REV and against the working
+tree, and prints every command whose stdout or exit code differs:
+
+- `egc j --format json` on each rung of the benchmark ladder
+  (`bench/workloads.LADDER`, read from the working tree);
+- `egc verify --suite all --max-size 3 --seed 0 --format json`.
+
+REV's `src/` is unpacked with `git archive` into a temporary directory,
+which is removed afterwards; nothing is registered in the repository.
+Standard library only.
+
+Usage: python3 scripts/same_output.py REV
+Exit status: 0 when every output is identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+VERIFY = ["verify", "--suite", "all", "--max-size", "3", "--seed", "0",
+          "--format", "json"]
+
+
+def commands() -> list[list[str]]:
+    sys.dont_write_bytecode = True  # leave nothing under bench/
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import LADDER
+    return [rung.argv() for rung in LADDER] + [VERIFY]
+
+
+def unpack_src(rev: str, dest: Path) -> None:
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
+                          rev, "src"], check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def run(src: Path, argv: list[str]) -> tuple[int, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "egc.cli", *argv],
+                          env=env, capture_output=True)
+    return proc.returncode, proc.stdout
+
+
+def show_first_difference(old: bytes, new: bytes, rev: str) -> None:
+    a, b = old.splitlines(), new.splitlines()
+    k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y),
+             min(len(a), len(b)))
+    print(f"  first difference at line {k + 1} "
+          f"({len(a)} lines at {rev}, {len(b)} now):")
+    for side, lines in ((rev, a), ("now", b)):
+        print(f"  {side}: {lines[k].decode() if k < len(lines) else '<end>'}")
+
+
+def main(rev: str) -> int:
+    differ, argvs = 0, commands()
+    with tempfile.TemporaryDirectory(prefix="egc-same-output-") as tmp:
+        unpack_src(rev, Path(tmp))
+        for argv in argvs:
+            old = run(Path(tmp) / "src", argv)
+            new = run(ROOT / "src", argv)
+            line = "egc " + " ".join(argv)
+            if old == new:
+                print(f"same  {line}")
+                continue
+            differ += 1
+            print(f"DIFF  {line}")
+            if old[0] != new[0]:
+                print(f"  exit code {old[0]} at {rev}, {new[0]} now")
+            if old[1] != new[1]:
+                show_first_difference(old[1], new[1], rev)
+    print(f"{differ} of {len(argvs)} outputs differ from {rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.split("\n\n")[-2])
+    sys.exit(main(sys.argv[1]))

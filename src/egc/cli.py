@@ -36,6 +36,8 @@ class RunConfig:
             raise ValueError(f"{self.prime} is not prime")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
         for lo, hi in (self.window, self.flag_range):
             if lo > hi:
                 raise ValueError(f"empty range {lo}:{hi}")
@@ -78,7 +80,7 @@ def cmd_j(args) -> int:
         result = GrahamSum.zero()
     else:
         ctx = build_context(lam, phi, rho)
-        result = j_coefficient(lam, phi, rho)
+        result = j_coefficient(lam, phi, rho, ctx)
         structural_zero = ctx.nu is None
     norm = lam.size - rho.size
     if args.format == "json":

@@ -2,13 +2,15 @@
 functions, divided-difference Grothendieck polynomials, and the backstable
 comparison checks.
 
-g_eval has two independent paths: direct tableau enumeration and a
-transfer-matrix DP over row profiles (the default; exponentially faster on
-wide shapes).  The two are cross-checked in the test suite.
+g_eval has two independent paths: the transfer-matrix DP of
+tableaux.tableau_sum over F_p (the default; exponentially faster on wide
+shapes), which the symbolic coefficient pipeline shares, and direct tableau
+enumeration (method="enum"), the oracle that checks it in the test suite.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from itertools import permutations as iter_permutations
 
@@ -18,7 +20,8 @@ from .perms import Permutation, code_shape_flag
 from .ring import (EvaluationPoint, EvaluationError, SparsePoly, field_inv,
                    isobaric)
 from .shapes import Flag, SkewShape
-from .tableaux import EnumSpec, cell_bounds, enumerate_tableaux, weight_eval
+from .tableaux import (EnumSpec, Semiring, enumerate_tableaux, tableau_sum,
+                       weight_eval)
 
 ORBIT_PRIME = 2147483647  # 2^31 - 1: orbit-engine products fit in int64
 
@@ -74,63 +77,11 @@ def _enum_eval(spec: EnumSpec, point: EvaluationPoint) -> int:
     return total
 
 
-def _dp_eval(spec: EnumSpec, point: EvaluationPoint) -> int:
-    """Transfer DP over per-column maxima.
-
-    Summing over the entry set of one cell with value range [lb, hi] and
-    maximum M gives the closed form
-        (x_M (-) y_{M+d}) * prod_{i=lb}^{M-1} (1 + beta*(x_i (-) y_{i+d})),
-    which absorbs the beta bookkeeping of set-valued weights exactly.
-    """
-    p, beta = point.prime, point.beta
-    shape = spec.shape
-    nrows = len(shape.outer)
-
-    @lru_cache(maxsize=None)
-    def fac(i: int, d: int) -> int:
-        return point.ominus(point.x_val(i), point.y_val(i + d))
-
-    states = {(): 1}
-    prev_cols: list[int] = []
-    for r in range(1, nrows + 1):
-        cols = list(shape.row_cols(r))
-        cols_next = list(shape.row_cols(r + 1)) if r < nrows else []
-        # an empty row reads no bounds: the flag may stop above it
-        lo, hi = cell_bounds(spec, r) if cols else (1, 0)
-        new_states: dict[tuple, int] = {}
-        for above, w0 in states.items():
-            above_of = dict(zip(prev_cols, above))
-            # inner DP along the row: (running max, recorded next-row maxima)
-            inner = {(None, ()): w0}
-            for c in cols:
-                nxt: dict[tuple, int] = {}
-                for (left, rec), wt in inner.items():
-                    lb = lo
-                    if left is not None:
-                        lb = max(lb, left)
-                    a = above_of.get(c)
-                    if a is not None:
-                        lb = max(lb, a + 1)
-                    run = wt
-                    for m in range(lb, hi + 1):
-                        f = fac(m, c - r)
-                        contrib = run * f % p
-                        rec2 = rec + (m,) if c in cols_next else rec
-                        key = (m, rec2)
-                        nxt[key] = (nxt.get(key, 0) + contrib) % p
-                        run = run * (1 + beta * f) % p
-                inner = nxt
-            for (_, rec), wt in inner.items():
-                new_states[rec] = (new_states.get(rec, 0) + wt) % p
-        states = new_states
-        prev_cols = [c for c in cols_next if c in cols]
-    return sum(states.values()) % point.prime
-
-
 def g_eval(shape: SkewShape, flag: Flag | None, sign: str,
            point: EvaluationPoint, window: tuple[int, int] | None = None,
            method: str = "dp") -> int:
     """Sum of tableau weights over the admissible fillings of the shape."""
+    spec = EnumSpec(shape, flag, sign)  # checks the flag before it is read
     if window is None:
         window = default_window(shape, flag, sign, point)
     elif sign != "positive":
@@ -139,12 +90,15 @@ def g_eval(shape: SkewShape, flag: Flag | None, sign: str,
             raise ValueError(
                 f"window {window} insufficient: values down to {dead} can "
                 "contribute at this point")
-    spec = EnumSpec(shape, flag, sign, window)
-    if not shape.cells():
-        return 1 % point.prime
+    spec = replace(spec, window=window)
     if method == "enum":
         return _enum_eval(spec, point)
-    return _dp_eval(spec, point)
+    # over F_p: f = x_m (-) y_{m+d} for a cell's largest value m, beta*f below
+    p, beta = point.prime, point.beta
+    f = lru_cache(maxsize=None)(
+        lambda m, d: point.ominus(point.x_val(m), point.y_val(m + d)))
+    field = Semiring(0, 1, lambda a, b: (a + b) % p, lambda a, b: a * b % p)
+    return tableau_sum(spec, field, f, lambda m, d: (1 + beta * f(m, d)) % p)
 
 
 # ---------------------------------------------------------------------------

@@ -76,11 +76,6 @@ class Permutation:
     def one_line(self, lo: int, hi: int) -> tuple[int, ...]:
         return tuple(self(k) for k in range(lo, hi + 1))
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(k for k in range(self.lo, self.window_hi + 1)
-                         if self(k) != k)
-
     def is_identity(self) -> bool:
         return not self.images
 

@@ -3,8 +3,11 @@ middle partition, the diagonal split, the value-shifting permutation
 algorithm, and the j-coefficient as a product of two Graham sums.
 
 A parallel "numeric" route assembles the same coefficient from windowed
-tableau-sum evaluations with x substituted by y; the two routes share no
-enumeration code and cross-check each other.
+tableau-sum evaluations with x substituted by y, and the two cross-check
+each other.  Both routes sum over tableaux with the one transfer DP,
+tableaux.tableau_sum: the symbolic route over factor multisets, the numeric
+route over F_p.  That kernel is checked in turn against tableau enumeration
+(g_eval's method="enum" and the oracle tests).
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from dataclasses import dataclass
 from .grothendieck import g_eval
 from .perms import Permutation, code_shape_flag
 from .ring import EvaluationPoint, GrahamMonomial, GrahamSum, omega1_factor
-from .shapes import (Flag, Partition, SkewShape, delta_seq, diagonal_split,
-                     flag_split, is_compatible, psi_flag, skew_props,
-                     subpartitions, xi_flag)
-from .tableaux import EnumSpec, enumerate_tableaux
+from .shapes import (Flag, Partition, SkewShape, diagonal_split, flag_split,
+                     is_compatible, psi_flag, skew_props, subpartitions,
+                     xi_flag)
+from .tableaux import EnumSpec, Semiring, tableau_sum
 
 
 def q_of(lam: Partition) -> int:
@@ -54,28 +57,33 @@ def unique_nu(lam: Partition, phi: Flag, rho: Partition) -> Partition | None:
     return nu_p
 
 
-def pi_algorithm(lam: Partition, phi: Flag) -> list[Permutation]:
-    """The value-shifting permutations pi_0..pi_ell for a nonnegative flag
-    compatible with lam."""
+def _psi_and_pis(lam: Partition, phi: Flag) -> tuple[Flag, list[Permutation]]:
+    """psi and the value-shifting permutations pi_0..pi_ell, for a
+    nonnegative flag compatible with lam."""
     if any(b < 0 for b in phi):
         raise ValueError(f"flag {phi} has a negative entry")
     psi = psi_flag(lam, phi)  # validates compatibility
-    deltas = delta_seq(lam, phi)
-    ell = len(lam)
-    n = max([1] + list(phi.bounds) + list(deltas))
+    deltas = [b - a for a, b in zip(psi, phi)]
+    n = max([1] + list(phi.bounds) + deltas)
     seq = [Permutation.identity()]
-    for i in range(1, ell + 1):
+    for i in range(1, len(lam) + 1):
         prev = seq[-1]
         if psi.entry(i) <= 0:
             seq.append(prev)
             continue
-        d = deltas.entry(i)
+        d = deltas[i - 1]
         line = [v for v in prev.one_line(1, n) if v > d]
         # values 1..d move to positions psi_i+1..phi_i, others keep order
         lo_pos = psi.entry(i)  # 0-based index of first moved value
         line = line[:lo_pos] + list(range(1, d + 1)) + line[lo_pos:]
         seq.append(Permutation.from_one_line(line, 1))
-    return seq
+    return psi, seq
+
+
+def pi_algorithm(lam: Partition, phi: Flag) -> list[Permutation]:
+    """The value-shifting permutations pi_0..pi_ell for a nonnegative flag
+    compatible with lam."""
+    return _psi_and_pis(lam, phi)[1]
 
 
 def chi_flags(lam: Partition, phi: Flag) -> list[Flag]:
@@ -83,8 +91,7 @@ def chi_flags(lam: Partition, phi: Flag) -> list[Flag]:
     if any(b < 0 for b in phi):
         raise ValueError(f"flag {phi} has a negative entry")
     psi = psi_flag(lam, phi)
-    ell = len(lam)
-    return [Flag(psi.bounds[:i] + phi.bounds[i:]) for i in range(ell + 1)]
+    return [Flag(psi.bounds[:i] + phi.bounds[i:]) for i in range(len(lam) + 1)]
 
 
 def _disconnected_inners(nu: Partition):
@@ -93,26 +100,47 @@ def _disconnected_inners(nu: Partition):
             yield mu
 
 
-def _positive_spec(shape: SkewShape, flag: Flag) -> EnumSpec:
-    hi = max([1] + list(flag.bounds))
-    return EnumSpec(shape, flag, "positive", (1, hi))
+def _factors_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return out
+
+
+def _factors_mul(a: dict, b: dict) -> dict:
+    out: dict[tuple, int] = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(sorted(k1 + k2))
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
+
+
+# multiplicities of factor multisets, each a sorted tuple of factors (i, j)
+FACTOR_SUMS = Semiring({}, {(): 1}, _factors_add, _factors_mul)
+
+
+def half_sum(shape: SkewShape, flag: Flag, image=lambda i: i) -> dict:
+    """Sum over the positive tableaux of shape under flag of the factor
+    multisets {(image(i), i+c-r) : value i in cell (r, c)}; a factor (a, b)
+    stands for beta*(y_a (-) y_b), one beta per cell beyond the weight."""
+    spec = EnumSpec(shape, flag, "positive", (1, max([1, *flag.bounds])))
+    return tableau_sum(spec, FACTOR_SUMS,
+                       lambda m, d: {((image(m), m + d),): 1},
+                       lambda m, d: {(): 1, ((image(m), m + d),): 1})
 
 
 def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
     """Sum over inner shapes mu <= nu with nu/mu disconnected; each summand
     is assembled from the diagonal split of lambda/mu: cells above the
     diagonal give factors (i, i+c-r), cells below give (pi(i), i+c-r)."""
-    if any(b < 0 for b in phi_plus):
-        raise ValueError(f"flag {phi_plus} has a negative entry")
     if len(phi_plus) != len(lam):
         raise ValueError(f"flag length {len(phi_plus)} != partition "
                          f"length {len(lam)}")
     if not lam.contains(nu):
         raise ValueError(f"nu {nu} not contained in lambda {lam}")
-    psi = psi_flag(lam, phi_plus)  # validates compatibility
-    pi = pi_algorithm(lam, phi_plus)[-1]
-    shift = nu.size - lam.size
-    out = GrahamSum.zero()
+    psi, pis = _psi_and_pis(lam, phi_plus)  # validates the flag
+    total = FACTOR_SUMS.zero
     for mu in _disconnected_inners(nu):
         shape = SkewShape(lam, mu)
         props = skew_props(shape)
@@ -121,20 +149,10 @@ def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
         if any(phi_plus.entry(r) == 0 for r in props.rows_occupied):
             continue
         upper, lower = diagonal_split(shape)
-        upper_monos = []
-        for t in enumerate_tableaux(_positive_spec(upper, phi_plus)):
-            factors = [(i, i + c - r) for (r, c), cell in t.cells()
-                       for i in cell]
-            upper_monos.append(GrahamMonomial(tuple(factors), shift))
-        lower_monos = []
-        for t in enumerate_tableaux(_positive_spec(lower, psi)):
-            factors = [(pi(i), i + c - r) for (r, c), cell in t.cells()
-                       for i in cell]
-            lower_monos.append(GrahamMonomial(tuple(factors), 0))
-        for mu_u in upper_monos:
-            for mu_d in lower_monos:
-                out.add_term(mu_u * mu_d)
-    return GrahamSum(out.terms)
+        total = _factors_add(total, _factors_mul(
+            half_sum(upper, phi_plus), half_sum(lower, psi, pis[-1])))
+    return GrahamSum({GrahamMonomial(k, nu.size - lam.size): c
+                      for k, c in total.items()})
 
 
 def j_minus(nu: Partition, phi_minus: Flag, rho: Partition) -> GrahamSum:
@@ -147,14 +165,11 @@ def j_minus(nu: Partition, phi_minus: Flag, rho: Partition) -> GrahamSum:
                          f"length {len(nu)}")
     if not nu.contains(rho):
         raise ValueError(f"rho {rho} not contained in nu {nu}")
-    xi = xi_flag(nu, phi_minus)
-    inner = j_plus(nu.conjugate(), xi, rho.conjugate())
-    out = GrahamSum.zero()
-    for m, c in inner.terms.items():
-        mapped = GrahamMonomial(tuple(omega1_factor(f) for f in m.factors),
-                                m.beta_shift)
-        out.add_term(mapped, c)
-    return GrahamSum(out.terms)
+    inner = j_plus(nu.conjugate(), xi_flag(nu, phi_minus), rho.conjugate())
+    # omega_1 is an involution on factors: distinct monomials stay distinct
+    return GrahamSum({GrahamMonomial(tuple(map(omega1_factor, m.factors)),
+                                     m.beta_shift): c
+                      for m, c in inner.terms.items()})
 
 
 @dataclass(frozen=True)
@@ -183,15 +198,16 @@ def build_context(lam: Partition, phi: Flag, rho: Partition) -> PipelineContext:
     return PipelineContext(lam, phi, rho, q, nu, case)
 
 
-def j_coefficient(lam: Partition, phi: Flag, rho: Partition) -> GrahamSum:
+def j_coefficient(lam: Partition, phi: Flag, rho: Partition,
+                  context: PipelineContext | None = None) -> GrahamSum:
     """The normalized Graham-positive coefficient: every monomial's total
     beta exponent equals its factor count after multiplying by
-    beta^{|lam| - |rho|}."""
+    beta^{|lam| - |rho|}.  build_context(lam, phi, rho) may supply nu."""
     if not is_compatible(lam, phi):
         raise ValueError(f"flag {phi} not compatible with {lam}")
     if not lam.contains(rho):
         return GrahamSum.zero()
-    nu = unique_nu(lam, phi, rho)
+    nu = unique_nu(lam, phi, rho) if context is None else context.nu
     if nu is None:
         return GrahamSum.zero()
     phi_minus, phi_plus = flag_split(phi)
@@ -218,17 +234,14 @@ def j_of_permutation(w: Permutation, rho: Partition) -> GrahamSum:
 
 
 def j_plus_numeric(lam: Partition, phi_plus: Flag, nu: Partition,
-                   point: EvaluationPoint) -> int:
-    """Sum over mu of beta^{|nu|-|mu|} G^{phi+}_{lam/mu}(x_+; y) at x := y,
+                   point: EvaluationPoint,
+                   window: tuple[int, int] | None = None) -> int:
+    """Sum over mu of beta^{|nu|-|mu|} G^{phi+}_{lam/mu}(x_+; y) at the point,
     with no structural shortcuts (vanishing terms must vanish numerically)."""
     p = point.prime
-    pt = point.with_x_to_y()
-    total = 0
-    for mu in _disconnected_inners(nu):
-        term = pow(point.beta, nu.size - mu.size, p)
-        term = term * g_eval(SkewShape(lam, mu), phi_plus, "positive", pt) % p
-        total = (total + term) % p
-    return total
+    return sum(pow(point.beta, nu.size - mu.size, p) * g_eval(
+        SkewShape(lam, mu), phi_plus, "positive", point, window)
+        for mu in _disconnected_inners(nu)) % p
 
 
 def j_minus_numeric(nu: Partition, phi_minus: Flag, rho: Partition,
@@ -240,13 +253,13 @@ def j_minus_numeric(nu: Partition, phi_minus: Flag, rho: Partition,
 def j_numeric(lam: Partition, phi: Flag, rho: Partition,
               point: EvaluationPoint) -> int:
     """Raw (unnormalized) coefficient through the unique middle partition,
-    with both halves evaluated by direct enumeration."""
+    with both halves evaluated as tableau sums over F_p at x := y."""
     if not lam.contains(rho):
         return 0
     nu = unique_nu(lam, phi, rho)
     if nu is None:
         return 0
     phi_minus, phi_plus = flag_split(phi)
-    minus = j_minus_numeric(nu, Flag(phi_minus.bounds[:len(nu)]), rho, point)
-    plus = j_plus_numeric(lam, phi_plus, nu, point)
-    return minus * plus % point.prime
+    pt = point.with_x_to_y()
+    minus = j_minus_numeric(nu, Flag(phi_minus.bounds[:len(nu)]), rho, pt)
+    return minus * j_plus_numeric(lam, phi_plus, nu, pt) % point.prime

@@ -129,15 +129,6 @@ class GrahamSum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def add_term(self, mono: GrahamMonomial, coeff: int = 1):
-        self.terms[mono] = self.terms.get(mono, 0) + coeff
-
-    def __add__(self, other: "GrahamSum") -> "GrahamSum":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return GrahamSum(out)
-
     def __mul__(self, other: "GrahamSum") -> "GrahamSum":
         out: dict[GrahamMonomial, int] = {}
         for m1, c1 in self.terms.items():
@@ -158,13 +149,7 @@ class GrahamSum:
                                       mc[0].beta_shift))
 
     def __repr__(self):
-        if self.is_zero():
-            return "GrahamSum(0)"
-        parts = []
-        for m, c in self.canonical():
-            fs = "".join(f"b(y{i}-y{j})" for i, j in m.factors) or "1"
-            parts.append(f"{c}*{fs}" + (f"*b^{m.beta_shift}" if m.beta_shift else ""))
-        return "GrahamSum(" + " + ".join(parts) + ")"
+        return "GrahamSum(" + " + ".join(self.text_lines()) + ")"
 
     def to_dict(self, normalization_beta_exp: int) -> dict:
         """The JSON payload of a normalized sum, as plain lists and ints."""
@@ -360,16 +345,6 @@ class SparsePoly:
     def scale(self, c: int) -> "SparsePoly":
         return SparsePoly(self.n, self.prime,
                           {e: co * c % self.prime for e, co in self.terms.items()})
-
-    def swap(self, i: int) -> "SparsePoly":
-        """Exchange x_i and x_{i+1}."""
-        out: dict[tuple, int] = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[i - 1], e2[i] = e2[i], e2[i - 1]
-            e2 = tuple(e2)
-            out[e2] = (out.get(e2, 0) + c) % self.prime
-        return SparsePoly(self.n, self.prime, out)
 
     def evaluate(self, values) -> int:
         """Evaluate at x_i = values[i-1]."""

@@ -3,8 +3,10 @@ bijection, and the row-strict-decreasing view with omega_1."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from typing import Any, Callable, NamedTuple
 
 from .ring import EvaluationPoint
 from .shapes import Flag, Partition, SkewShape, skew_props
@@ -149,6 +151,64 @@ def cell_bounds(spec: EnumSpec, r: int) -> tuple[int, int]:
     if spec.flag is not None:
         hi = min(hi, spec.flag.entry(r))
     return lo, hi
+
+
+class Semiring(NamedTuple):
+    zero: Any
+    one: Any
+    add: Callable[[Any, Any], Any]
+    mul: Callable[[Any, Any], Any]
+
+
+COUNTS = Semiring(0, 1, operator.add, operator.mul)
+
+
+def tableau_sum(spec: EnumSpec, semiring: Semiring, top, extra):
+    """Sum over the tableaux of spec of the product of their cell weights,
+    by a transfer DP whose state is the largest value of each cell.
+
+    Over the sets a cell on diagonal d = c-r may hold, with values from lb
+    (set by its row and its left and upper neighbours) up to its largest
+    value M, the weights sum to top(M, d) * prod_{i=lb}^{M-1} extra(i, d),
+    where extra(i, d) is `one` (i left out) plus the weight of i held below
+    M (Buch's set-valued tableaux).  An empty shape sums to `one`."""
+    add, mul = semiring.add, semiring.mul
+
+    @lru_cache(maxsize=None)
+    def cell(lb: int, hi: int, d: int) -> list:  # the closed form, M = lb..hi
+        out, run = [], semiring.one
+        for m in range(lb, hi + 1):
+            out.append(mul(run, top(m, d)))
+            run = mul(run, extra(m, d))
+        return out
+
+    shape, nrows = spec.shape, len(spec.shape.outer)
+    # states: maxima of the cells over the next row (columns prev_cols) -> sum
+    states, prev_cols = {(): semiring.one}, []
+    for r in range(1, nrows + 1):
+        cols = shape.row_cols(r)
+        cols_next = shape.row_cols(r + 1) if r < nrows else range(0)
+        # an empty row reads no bounds: the flag may stop above it
+        lo, hi = cell_bounds(spec, r) if cols else (1, 0)
+        new_states: dict = {}
+        for above, w0 in states.items():
+            above_of = dict(zip(prev_cols, above))
+            # along the row: (bound from the left, maxima kept) -> sum
+            inner = {(lo, ()): w0}
+            for c in cols:
+                nxt: dict = {}
+                for (left, kept), wt in inner.items():
+                    lb = max(left, above_of[c] + 1) if c in above_of else left
+                    for m, w in enumerate(cell(lb, hi, c - r), start=lb):
+                        key = (m, kept + (m,) if c in cols_next else kept)
+                        v = mul(wt, w)
+                        nxt[key] = add(nxt[key], v) if key in nxt else v
+                inner = nxt
+            for (_, kept), wt in inner.items():
+                new_states[kept] = add(new_states[kept], wt) \
+                    if kept in new_states else wt
+        states, prev_cols = new_states, [c for c in cols_next if c in cols]
+    return reduce(add, states.values(), semiring.zero)
 
 
 def enumerate_tableaux(spec: EnumSpec):

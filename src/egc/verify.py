@@ -10,6 +10,7 @@ rather than raising, so a run always produces a complete report.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations as iter_permutations
@@ -17,14 +18,15 @@ from itertools import permutations as iter_permutations
 from .grothendieck import ORBIT_PRIME, g_eval, grothendieck_poly, gvex_check
 from .perms import Permutation, from_partition
 from .pipeline import (_disconnected_inners, chi_flags, j_coefficient,
-                       j_numeric, pi_algorithm)
+                       j_numeric, j_plus_numeric, pi_algorithm)
 from .ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, eval_graham,
                    factor_type, isobaric, ominus, omega1_factor, prec,
                    sample_point)
 from .shapes import (Flag, Partition, SkewShape, compatible_flags,
                      diagonal_split, flag_split, skew_props, subpartitions)
-from .tableaux import (EnumSpec, enumerate_tableaux, merge, omega1_inverse,
-                       omega1_tableau, r_weight_eval, split, weight_eval)
+from .tableaux import (COUNTS, EnumSpec, enumerate_tableaux, merge,
+                       omega1_inverse, omega1_tableau, r_weight_eval, split,
+                       tableau_sum, weight_eval)
 
 SUITES = ("decompose", "pi", "gvex", "theorem", "omega", "ring")
 
@@ -46,8 +48,8 @@ def partitions_up_to(max_size: int) -> list[Partition]:
     return sorted(out, key=lambda p: (p.size, p.parts))
 
 
-def _count(spec: EnumSpec) -> int:
-    return sum(1 for _ in enumerate_tableaux(spec))
+def _count(spec: EnumSpec) -> int:  # a cell's largest value M: 2^{M-lb} sets
+    return tableau_sum(spec, COUNTS, lambda m, d: 1, lambda m, d: 2)
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +113,8 @@ def _decompose_instance(args) -> tuple[int, list[str]]:
                                (wlo, whi))
                 if outer == 0:
                     continue
-                inner_sum = 0
-                for mu in _disconnected_inners(nu):
-                    term = pow(pt.beta, nu.size - mu.size, prime)
-                    term = term * g_eval(SkewShape(lam, mu), skew_flag,
-                                         "positive", pt, (wlo, whi)) % prime
-                    inner_sum = (inner_sum + term) % prime
-                rhs = (rhs + outer * inner_sum) % prime
+                rhs = (rhs + outer * j_plus_numeric(
+                    lam, skew_flag, nu, pt, (wlo, whi))) % prime
             checks += 1
             if lhs != rhs:
                 failures.append(f"{key}: decomposition mismatch at {pt} "
@@ -453,8 +450,9 @@ def suite_ring(prime, seed, trials, max_size, flag_range, window, jobs):
 
 
 def _map_jobs(fn, instances, jobs):
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(instances))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, instances))
     return [fn(a) for a in instances]
 
@@ -482,6 +480,8 @@ def verify_identities(suite: str, *, prime: int = DEFAULT_PRIME, seed: int = 0,
     Failures are collected, not raised; the report's "ok" field is true
     exactly when every check passed.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     runners = {"decompose": suite_decompose, "pi": suite_pi,
                "gvex": suite_gvex, "theorem": suite_theorem,
                "omega": suite_omega, "ring": suite_ring}

@@ -28,6 +28,9 @@ def test_run_config_validation():
         RunConfig(trials=-1)
     with pytest.raises(ValueError):
         RunConfig(window=(3, -3))
+    for jobs in (0, -1):
+        with pytest.raises(ValueError):
+            RunConfig(jobs=jobs)
 
 
 def test_j_text(capsys):

@@ -185,6 +185,8 @@ def test_invalid_spec_rejected_by_both_paths(method):
         g_eval(shape, Flag((1, 2)), "postive", pt, (-2, 2), method=method)
     with pytest.raises(ValueError):  # row 2 is occupied, the flag stops at 1
         g_eval(shape, Flag((1,)), "any", pt, (-2, 2), method=method)
+    with pytest.raises(ValueError):  # the same, with the default window
+        g_eval(shape, Flag((1,)), "any", pt, method=method)
 
 
 SMALL_SKEW = [SkewShape(lam, mu) for lam in partitions_up_to(6)

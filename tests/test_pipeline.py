@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egc.perms import Permutation
-from egc.pipeline import (build_context, chi_flags, j_coefficient, j_minus,
-                          j_numeric, j_of_permutation, j_plus, pi_algorithm,
-                          q_of, unique_nu)
+from egc.pipeline import (build_context, chi_flags, half_sum, j_coefficient,
+                          j_minus, j_numeric, j_of_permutation, j_plus,
+                          pi_algorithm, q_of, unique_nu)
 from egc.ring import (DEFAULT_PRIME, GrahamMonomial, GrahamSum, eval_graham,
                       sample_point)
-from egc.shapes import Flag, Partition, compatible_flags, subpartitions
+from egc.shapes import (Flag, Partition, SkewShape, compatible_flags,
+                        subpartitions)
+from egc.tableaux import EnumSpec, enumerate_tableaux
 from egc.verify import partitions_up_to
 
 P = DEFAULT_PRIME
@@ -231,3 +233,32 @@ def test_symbolic_matches_numeric_property(case, seed):
     norm = pow(pt.beta, lam.size - rho.size, P)
     assert eval_graham(j_coefficient(lam, phi, rho), pt) == \
         norm * j_numeric(lam, phi, rho, pt) % P
+
+
+def _fold_tableaux(shape, flag, image):
+    """The half sum by enumeration: one factor multiset (image(i), i+c-r)
+    per positive tableau, as j_plus folded tableaux into monomials."""
+    out = {}
+    spec = EnumSpec(shape, flag, "positive", (1, max([1, *flag.bounds])))
+    for t in enumerate_tableaux(spec):
+        key = tuple(sorted((image(i), i + c - r) for (r, c), cell in t.cells()
+                           for i in cell))
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+SKEW_4 = [SkewShape(lam, mu) for lam in partitions_up_to(6)
+          for mu in subpartitions(lam) if lam.size - mu.size <= 4]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(shape=st.sampled_from(SKEW_4),
+       bounds=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+       images=st.permutations((1, 2, 3)))
+def test_half_sum_matches_enumeration_property(shape, bounds, images):
+    """The transfer DP over factor multisets equals the enumeration fold,
+    under the identity and under a permutation of the values."""
+    flag = Flag(tuple(sorted(bounds))[:len(shape.outer)])
+    pi = Permutation.from_one_line(images, 1)
+    assert half_sum(shape, flag) == _fold_tableaux(shape, flag, lambda i: i)
+    assert half_sum(shape, flag, pi) == _fold_tableaux(shape, flag, pi)

@@ -12,7 +12,7 @@ from egc.tableaux import (EnumSpec, RowStrictDecreasingTableau,
                           SetValuedTableau, admits, enumerate_tableaux,
                           merge, omega1_inverse, omega1_tableau,
                           r_weight_eval, split, weight_eval)
-from egc.verify import partitions_up_to
+from egc.verify import _count, partitions_up_to
 
 P = 10007
 
@@ -219,3 +219,27 @@ def test_omega1_properties(t, seed):
 def test_split_merge_property(t):
     tm, tp = split(t)
     assert merge(tm, tp).rows == t.rows
+
+
+SKEW_4 = [SkewShape(lam, mu) for lam in partitions_up_to(6)
+          for mu in subpartitions(lam) if lam.size - mu.size <= 4]
+
+
+@PROPERTY
+@given(shape=st.sampled_from(SKEW_4),
+       bounds=st.lists(st.integers(-1, 2), min_size=6, max_size=6),
+       flagged=st.booleans(),
+       ends=st.tuples(st.integers(-1, 2), st.integers(-1, 2)))
+def test_count_instance_matches_enumeration(shape, bounds, flagged, ends):
+    """The transfer DP with top 1 and extra 2 counts the tableaux."""
+    flag = Flag(tuple(sorted(bounds))[:len(shape.outer)]) if flagged else None
+    for sign in ("positive", "nonpositive", "any"):
+        spec = EnumSpec(shape, flag, sign, (min(ends), max(ends)))
+        assert _count(spec) == len(list(enumerate_tableaux(spec)))
+
+
+def test_count_instance_empty_shape():
+    for shape in (SkewShape(Partition(())),
+                  SkewShape(Partition((2, 1)), Partition((2, 1)))):
+        spec = EnumSpec(shape, None, "any")
+        assert _count(spec) == len(list(enumerate_tableaux(spec))) == 1

@@ -1,6 +1,9 @@
 """The verification suites at small sizes: all pass, reports are
 deterministic, and parallel runs match serial ones."""
 
+import pytest
+
+from egc import verify
 from egc.verify import all_vexillary, partitions_up_to, verify_identities
 
 
@@ -58,7 +61,19 @@ def test_jobs_match_serial():
     assert serial == parallel
 
 
+def test_jobs_bounded(monkeypatch):
+    for jobs in (0, -1):
+        with pytest.raises(ValueError):
+            verify_identities("ring", jobs=jobs)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-instance suite started a process pool")
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    report = verify_identities("decompose", max_size=1, flag_range=(1, 1),
+                               trials=1, jobs=2)
+    assert report["instances"] == 1 and report["ok"]
+
+
 def test_unknown_suite_rejected():
-    import pytest
     with pytest.raises(ValueError):
         verify_identities("nope")
