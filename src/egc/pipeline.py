@@ -13,6 +13,7 @@ route over F_p.  That kernel is checked in turn against tableau enumeration
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .grothendieck import g_eval
 from .perms import Permutation, code_shape_flag
@@ -94,10 +95,11 @@ def chi_flags(lam: Partition, phi: Flag) -> list[Flag]:
     return [Flag(psi.bounds[:i] + phi.bounds[i:]) for i in range(len(lam) + 1)]
 
 
-def _disconnected_inners(nu: Partition):
-    for mu in subpartitions(nu):
-        if skew_props(SkewShape(nu, mu)).is_disconnected:
-            yield mu
+@lru_cache(maxsize=1024)
+def _disconnected_inners(nu: Partition) -> tuple[Partition, ...]:
+    """The mu <= nu with nu/mu disconnected, in subpartitions order."""
+    return tuple(mu for mu in subpartitions(nu)
+                 if skew_props(SkewShape(nu, mu)).is_disconnected)
 
 
 def _factors_add(a: dict, b: dict) -> dict:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 DEFAULT_PRIME = 2305843009213693951  # 2^61 - 1
 
@@ -13,8 +14,11 @@ class EvaluationError(ArithmeticError):
     """A denominator vanished at the evaluation point; caller resamples."""
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3317044064679887385961981."""
+    """Deterministic Miller-Rabin for n < 3317044064679887385961981.
+
+    Cached: every evaluation point checks its prime, and a run uses few."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -41,7 +45,7 @@ def field_inv(a: int, p: int) -> int:
     a %= p
     if a == 0:
         raise EvaluationError("division by zero in the prime field")
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 def ominus(a: int, b: int, beta: int, p: int) -> int:
@@ -198,8 +202,8 @@ def eval_graham(gsum: GrahamSum, point: "EvaluationPoint") -> int:
         val = c % p * bpow % p
         for f in m.factors:
             if f not in factor_val:
-                factor_val[f] = ominus(point.y_val(f[0]), point.y_val(f[1]),
-                                       beta, p)
+                factor_val[f] = point.ominus(point.y_val(f[0]),
+                                             point.y_val(f[1]))
             val = val * factor_val[f] % p
         total = (total + val) % p
     return total
@@ -210,6 +214,8 @@ class EvaluationPoint:
     """An assignment of beta and sparse x/y values into F_p.
 
     Unassigned indices read as 0.  Hashable so evaluations can be cached.
+    Each point keeps the values 1/(1 + beta*b) that its `ominus` has
+    inverted, so a repeated b costs two multiplications.
     """
 
     prime: int
@@ -218,6 +224,8 @@ class EvaluationPoint:
     y: tuple[tuple[int, int], ...] = ()
     _xd: dict = field(default=None, compare=False, hash=False, repr=False)
     _yd: dict = field(default=None, compare=False, hash=False, repr=False)
+    _den_inv: dict = field(default=None, compare=False, hash=False,
+                           repr=False)
 
     def __post_init__(self):
         if not is_prime(self.prime):
@@ -231,6 +239,7 @@ class EvaluationPoint:
         object.__setattr__(self, "beta", self.beta % self.prime)
         object.__setattr__(self, "_xd", dict(x))
         object.__setattr__(self, "_yd", dict(y))
+        object.__setattr__(self, "_den_inv", {})
         for _, v in x + y:
             if (1 + self.beta * v) % self.prime == 0:
                 raise EvaluationError("1 + beta*value vanishes; resample")
@@ -255,7 +264,10 @@ class EvaluationPoint:
         return frozenset(self._yd)
 
     def ominus(self, a: int, b: int) -> int:
-        return ominus(a, b, self.beta, self.prime)
+        inv = self._den_inv.get(b)
+        if inv is None:  # field_inv raises EvaluationError on 1 + beta*b = 0
+            inv = self._den_inv[b] = field_inv(1 + self.beta * b, self.prime)
+        return (a - b) * inv % self.prime
 
     def with_x_to_y(self) -> "EvaluationPoint":
         """Replace every x_i by y_i (the x -> y substitution)."""
@@ -263,10 +275,8 @@ class EvaluationPoint:
 
     def omega1(self) -> "EvaluationPoint":
         """x_i -> (-)x_{1-i} and y_i -> (-)y_{1-i}."""
-        newx = tuple((1 - i, oneg(v, self.beta, self.prime))
-                     for i, v in self._xd.items())
-        newy = tuple((1 - j, oneg(v, self.beta, self.prime))
-                     for j, v in self._yd.items())
+        newx = tuple((1 - i, self.ominus(0, v)) for i, v in self._xd.items())
+        newy = tuple((1 - j, self.ominus(0, v)) for j, v in self._yd.items())
         return EvaluationPoint(self.prime, self.beta, newx, newy)
 
 

@@ -8,6 +8,7 @@ explicitly.  The empty partition and empty skew shape are legal everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 
@@ -50,7 +51,8 @@ class Partition:
             for c in range(1, self.parts[0] + 1)))
 
     def contains(self, other: "Partition") -> bool:
-        return all(self.part(i) >= other.part(i) for i in range(1, len(other) + 1))
+        return len(other) <= len(self) and \
+            all(a >= b for a, b in zip(self.parts, other.parts))
 
     def cells(self) -> list[tuple[int, int]]:
         return [(r, c) for r in range(1, len(self) + 1)
@@ -149,7 +151,9 @@ class SkewProps:
     rows_occupied: frozenset[int]
 
 
+@lru_cache(maxsize=4096)
 def skew_props(shape: SkewShape) -> SkewProps:
+    """Cached: shapes are frozen, and the suites ask about few of them."""
     cells = set(shape.cells())
     diag = any(r == c for r, c in cells)
     connected = any((r, c + 1) in cells or (r + 1, c) in cells for r, c in cells)

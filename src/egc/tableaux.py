@@ -4,6 +4,7 @@ bijection, and the row-strict-decreasing view with omega_1."""
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Any, Callable, NamedTuple
@@ -55,9 +56,8 @@ class _Tableau:
         return self.rows[r - 1][c - cols.start]
 
     def cells(self):
-        for r in range(1, len(self.shape.outer) + 1):
-            for c in self.shape.row_cols(r):
-                yield (r, c), self.entry(r, c)
+        for r, row in enumerate(self.rows, start=1):
+            yield from zip(((r, c) for c in self.shape.row_cols(r)), row)
 
     @property
     def value_count(self) -> int:
@@ -98,6 +98,19 @@ class SetValuedTableau(_Tableau):
 
     _row_ok = staticmethod(lambda left, right: left[-1] <= right[0])
     _col_ok = staticmethod(lambda up, down: up[-1] < down[0])
+
+
+def _built(shape: SkewShape, rows) -> SetValuedTableau:
+    """A SetValuedTableau made without the checks of its constructor, for
+    fillings that are semistandard by construction: those that
+    enumerate_tableaux and split build, as tuples of sorted tuples.  The
+    oracle tests test_enumerated_tableaux_pass_validation and
+    test_split_parts_pass_validation rebuild them through the public
+    constructor."""
+    t = object.__new__(SetValuedTableau)
+    object.__setattr__(t, "shape", shape)
+    object.__setattr__(t, "rows", rows)
+    return t
 
 
 @dataclass(frozen=True)
@@ -217,14 +230,14 @@ def enumerate_tableaux(spec: EnumSpec):
     nrows = len(shape.outer)
     cells = shape.cells()
     if not cells:
-        yield SetValuedTableau(shape, tuple(() for _ in range(nrows)))
+        yield _built(shape, tuple(() for _ in range(nrows)))
         return
 
     def fill(idx: int, grid: dict):
         if idx == len(cells):
             rows = tuple(tuple(grid[(r, c)] for c in shape.row_cols(r))
                          for r in range(1, nrows + 1))
-            yield SetValuedTableau(shape, rows)
+            yield _built(shape, rows)
             return
         r, c = cells[idx]
         lo, hi = cell_bounds(spec, r)
@@ -283,52 +296,64 @@ def split(t: SetValuedTableau) -> tuple[SetValuedTableau, SetValuedTableau]:
     if len(t.shape.inner):
         raise ValueError("split requires a straight shape")
     lam = t.shape.outer
-    nu_rows, mu_rows = [], []
     minus_rows, plus_rows = [], []
-    for r in range(1, len(lam) + 1):
-        row = t.rows[r - 1]
-        neg = [tuple(v for v in cell if v <= 0) for cell in row]
-        pos = [tuple(v for v in cell if v >= 1) for cell in row]
-        nu_rows.append(sum(1 for cell in neg if cell))
-        mu_rows.append(sum(1 for cell in pos if not cell))
-        minus_rows.append(tuple(cell for cell in neg if cell))
-        plus_rows.append(tuple(cell for cell in pos if cell))
-    nu, mu = Partition(nu_rows), Partition(mu_rows)
-    tminus = SetValuedTableau(SkewShape(nu), tuple(minus_rows[:len(nu)]))
-    tplus = SetValuedTableau(SkewShape(lam, mu), tuple(plus_rows))
-    if not skew_props(SkewShape(nu, mu)).is_disconnected:
+    for row in t.rows:
+        cuts = [bisect_right(cell, 0) for cell in row]  # cells are sorted
+        minus_rows.append(tuple(cell[:k] for cell, k in zip(row, cuts) if k))
+        plus_rows.append(tuple(cell[k:] for cell, k in zip(row, cuts)
+                               if k < len(cell)))
+    minus_shape, plus_shape, disconnected = _split_shapes(
+        lam, tuple(map(len, minus_rows)),
+        tuple(len(row) - len(plus) for row, plus in zip(t.rows, plus_rows)))
+    if not disconnected:
         raise RuntimeError(f"split of {t.to_text()!r}: nu/mu is not "
                            "disconnected")
-    return tminus, tplus
+    # the parts of semistandard cells on either side of 0 stay semistandard
+    tminus = _built(minus_shape, tuple(minus_rows[:len(minus_shape.outer)]))
+    return tminus, _built(plus_shape, tuple(plus_rows))
+
+
+@lru_cache(maxsize=4096)
+def _split_shapes(lam: Partition, nu_rows: tuple[int, ...],
+                  mu_rows: tuple[int, ...]) -> tuple[SkewShape, SkewShape, bool]:
+    """The shapes nu and lambda/mu of split's parts, and whether nu/mu is
+    disconnected."""
+    nu, mu = Partition(nu_rows), Partition(mu_rows)
+    return (SkewShape(nu), SkewShape(lam, mu),
+            skew_props(SkewShape(nu, mu)).is_disconnected)
 
 
 def merge(tminus: SetValuedTableau, tplus: SetValuedTableau) -> SetValuedTableau:
-    nu = tminus.shape.outer
-    lam, mu = tplus.shape.outer, tplus.shape.inner
     if len(tminus.shape.inner):
         raise ValueError("nonpositive part must have straight shape")
-    if any(max(cell) > 0 for _, cell in tminus.cells()):
+    if any(cell[-1] > 0 for row in tminus.rows for cell in row):
         raise ValueError("nonpositive part has a positive value")
-    if any(min(cell) < 1 for _, cell in tplus.cells()):
+    if any(cell[0] < 1 for row in tplus.rows for cell in row):
         raise ValueError("positive part has a nonpositive value")
+    nu, mu = tminus.shape.outer, tplus.shape.inner
+    shape = _merge_shape(tplus.shape.outer, nu, mu)
+    # row r: cells 1..mu_r from minus, mu_r+1..nu_r join both, then plus;
+    # values <= 0 come first, and the constructor checks the result
+    rows = []
+    for r, plus in enumerate(tplus.rows, start=1):
+        minus = tminus.rows[r - 1] if r <= len(nu) else ()
+        m = mu.part(r)
+        rows.append(minus[:m] + tuple(a + b for a, b in zip(minus[m:], plus))
+                    + plus[len(minus) - m:])
+    return SetValuedTableau(shape, tuple(rows))
+
+
+@lru_cache(maxsize=4096)
+def _merge_shape(lam: Partition, nu: Partition, mu: Partition) -> SkewShape:
+    """The shape lambda of merge's result, after checking mu <= nu <= lambda
+    with nu/mu disconnected."""
     if not nu.contains(mu):
         raise ValueError("inner shape of the positive part not contained in nu")
     if not lam.contains(nu):
         raise ValueError("nu not contained in the outer shape")
     if not skew_props(SkewShape(nu, mu)).is_disconnected:
         raise ValueError("nu/mu is not disconnected")
-    rows = []
-    for r in range(1, len(lam) + 1):
-        row = []
-        for c in range(1, lam.part(r) + 1):
-            vals = ()
-            if c <= nu.part(r):
-                vals += tminus.entry(r, c)
-            if c > mu.part(r):
-                vals += tplus.entry(r, c)
-            row.append(tuple(sorted(set(vals))))
-        rows.append(tuple(row))
-    return SetValuedTableau(SkewShape(lam), tuple(rows))
+    return SkewShape(lam)
 
 
 def _conjugate_negate(t: _Tableau, cls: type[_Tableau]) -> _Tableau:

@@ -332,14 +332,15 @@ def _omega_instance(args) -> tuple[int, list[str]]:
     pts = [sample_point(prime, rng, range(window[0], window[1] + 1),
                         range(window[0] - len(lam), window[1] + lam.part(1)))
            for _ in range(trials)]
+    pairs = [(pt, pt.omega1()) for pt in pts]
     for t in enumerate_tableaux(EnumSpec(SkewShape(lam), None, "any", window)):
         u = omega1_tableau(t)
         checks += 1
         if omega1_inverse(u).rows != t.rows:
             failures.append(f"{key}: roundtrip failed for {t.to_text()!r}")
-        for pt in pts:
+        for pt, pt_omega in pairs:
             checks += 1
-            if r_weight_eval(u, pt) != weight_eval(t, pt.omega1()):
+            if r_weight_eval(u, pt) != weight_eval(t, pt_omega):
                 failures.append(f"{key}: weight identity failed for "
                                 f"{t.to_text()!r}")
     return checks, failures

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from egc.ring import (DEFAULT_PRIME, EvaluationPoint, GrahamMonomial,
-                      GrahamSum, SparsePoly, eval_graham,
+from egc.cli import RunConfig
+from egc.ring import (DEFAULT_PRIME, EvaluationError, EvaluationPoint,
+                      GrahamMonomial, GrahamSum, SparsePoly, eval_graham,
                       factor_type, field_inv, is_prime, isobaric, ominus,
                       omega1_factor, oneg, prec, sample_point)
 
@@ -15,6 +16,56 @@ P = 101
 def test_is_prime():
     assert is_prime(2) and is_prime(101) and is_prime(DEFAULT_PRIME)
     assert not is_prime(1) and not is_prime(91)
+
+
+def test_is_prime_matches_trial_division():
+    def by_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(10**4) if is_prime(n)] == \
+        [n for n in range(10**4) if by_division(n)]
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # 561 is a Carmichael number; the others are strong pseudoprimes to the
+    # bases 2, 3, 5, 7 and to every prime base up to 23, so a Miller-Rabin
+    # test with fewer bases passes them
+    assert not is_prime(n)
+    assert not is_prime(n)  # and again, from the cache
+
+
+def test_composite_prime_rejected_every_time():
+    for _ in range(2):  # the second call finds is_prime's cache warm
+        with pytest.raises(ValueError):
+            EvaluationPoint(91, 1)
+        with pytest.raises(ValueError):
+            RunConfig(prime=91)
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1, DEFAULT_PRIME])
+def test_field_inv_matches_fermat(p):
+    rng = random.Random(p)
+    for a in [1, p - 1] + [rng.randrange(1, p) for _ in range(200)]:
+        assert field_inv(a, p) == pow(a, p - 2, p)
+        assert field_inv(a + 3 * p, p) == field_inv(a, p)
+    for zero in (0, p, -2 * p):
+        with pytest.raises(EvaluationError):
+            field_inv(zero, p)
+
+
+def test_point_ominus_matches_ominus():
+    rng = random.Random(4)
+    pt = sample_point(P, rng, range(-2, 3), range(-3, 4))
+    values = [0] + [v for _, v in pt.x + pt.y]
+    for _ in range(2):  # the second pass reads the point's inverse table
+        for a in values:
+            for b in values:
+                assert pt.ominus(a, b) == ominus(a, b, pt.beta, P)
+    b = (P - 1) * field_inv(pt.beta, P) % P  # 1 + beta*b = 0
+    for _ in range(2):
+        with pytest.raises(EvaluationError):
+            pt.ominus(1, b)
 
 
 def test_ominus_basics():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from egc.ring import EvaluationPoint, ominus, sample_point
 from egc.shapes import Flag, Partition, SkewShape, subpartitions
 from egc.tableaux import (EnumSpec, RowStrictDecreasingTableau,
-                          SetValuedTableau, admits, enumerate_tableaux,
-                          merge, omega1_inverse, omega1_tableau,
-                          r_weight_eval, split, weight_eval)
+                          SetValuedTableau, _built, admits,
+                          enumerate_tableaux, merge, omega1_inverse,
+                          omega1_tableau, r_weight_eval, split, weight_eval)
 from egc.verify import _count, partitions_up_to
 
 P = 10007
@@ -243,3 +243,57 @@ def test_count_instance_empty_shape():
                   SkewShape(Partition((2, 1)), Partition((2, 1)))):
         spec = EnumSpec(shape, None, "any")
         assert _count(spec) == len(list(enumerate_tableaux(spec))) == 1
+
+
+@PROPERTY
+@given(shape=st.sampled_from(SKEW_4),
+       bounds=st.lists(st.integers(-1, 2), min_size=6, max_size=6),
+       flagged=st.booleans(),
+       sign=st.sampled_from(["positive", "nonpositive", "any"]),
+       ends=st.tuples(st.integers(-1, 2), st.integers(-1, 2)))
+def test_enumerated_tableaux_pass_validation(shape, bounds, flagged, sign,
+                                             ends):
+    """enumerate_tableaux builds its tableaux without the constructor's
+    checks; each one passes them and rebuilds into an equal value."""
+    flag = Flag(tuple(sorted(bounds))[:len(shape.outer)]) if flagged else None
+    for t in enumerate_tableaux(EnumSpec(shape, flag, sign,
+                                         (min(ends), max(ends)))):
+        assert SetValuedTableau(t.shape, t.rows) == t
+
+
+@PROPERTY
+@given(t=set_valued_tableaux([s for s in SHAPES_4 if not len(s.inner)]))
+def test_split_parts_pass_validation(t):
+    """So do both parts that split builds."""
+    for part in split(t):
+        assert SetValuedTableau(part.shape, part.rows) == part
+
+
+BAD_FILLINGS = [
+    ((2,), (), (((2,), (1,)),)),  # row decreases
+    ((1, 1), (), (((1,),), ((1,),))),  # column not strict
+    ((1,), (), (((1, 1),),)),  # repeated value
+    ((2,), (), (((2, 1), (3,)),)),  # unsorted entry
+    ((2, 2), (1,), (((1,),), ((0,), (1,)))),  # skew column not strict
+]
+
+
+@pytest.mark.parametrize("outer, inner, rows", BAD_FILLINGS)
+def test_public_construction_validates(outer, inner, rows):
+    shape = SkewShape(Partition(outer), Partition(inner))
+    with pytest.raises(ValueError):
+        SetValuedTableau(shape, rows)
+    text = " ; ".join(" ".join(["."] * shape.inner.part(r) + [
+        "{" + ",".join(map(str, cell)) + "}" for cell in row])
+        for r, row in enumerate(rows, start=1))
+    with pytest.raises(ValueError):
+        SetValuedTableau.from_text(text)
+
+
+def test_merge_output_is_validated():
+    # a nonpositive part whose row decreases, built past the checks
+    bad = _built(SkewShape(Partition((2,))), (((0,), (-1,)),))
+    tp = SetValuedTableau(SkewShape(Partition((3,)), Partition((2,))),
+                          (((1,),),))
+    with pytest.raises(ValueError, match="row order"):
+        merge(bad, tp)
