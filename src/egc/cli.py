@@ -84,15 +84,14 @@ def cmd_j(args) -> int:
         structural_zero = ctx.nu is None
     norm = lam.size - rho.size
     if args.format == "json":
-        payload = result.to_dict(norm)
-        payload.update({
+        result.to_json(norm, {
             "lambda": list(lam.parts), "phi": list(phi.bounds),
             "rho": list(rho.parts),
             "nu": list(ctx.nu.parts) if ctx and ctx.nu is not None else None,
             "q": ctx.q if ctx else None,
             "case": ctx.case if ctx else "zero",
-        })
-        print(json.dumps(payload, indent=1))
+        }, sys.stdout)
+        print()
     else:
         header = f"beta^{norm} * j[lambda={lam.parts} phi={phi.bounds} " \
             f"rho={rho.parts}]"

@@ -8,6 +8,14 @@ each other.  Both routes sum over tableaux with the one transfer DP,
 tableaux.tableau_sum: the symbolic route over factor multisets, the numeric
 route over F_p.  That kernel is checked in turn against tableau enumeration
 (g_eval's method="enum" and the oracle tests).
+
+The symbolic route never rebuilds a monomial.  The DP emits each factor
+(i, j) as its int code (ring.factor_code, whose plain order is the
+canonical factor order), a monomial is the sorted tuple of its codes, and a
+half sum carries one beta exponent, -|shape| per tableau plus |nu| - |mu|
+per inner shape: |nu| - |lambda| for every monomial of j_plus.  The product
+of the halves adds their exponents, and j_coefficient checks once per sum
+that the total is -(|lambda| - |rho|), the normalization.
 """
 
 from __future__ import annotations
@@ -17,7 +25,8 @@ from functools import lru_cache
 
 from .grothendieck import g_eval
 from .perms import Permutation, code_shape_flag
-from .ring import EvaluationPoint, GrahamMonomial, GrahamSum, omega1_factor
+from .ring import (EvaluationPoint, GrahamSum, add_terms, factor_code,
+                   mul_terms, omega1_code)
 from .shapes import (Flag, Partition, SkewShape, diagonal_split, flag_split,
                      is_compatible, psi_flag, skew_props, subpartitions,
                      xi_flag)
@@ -102,34 +111,18 @@ def _disconnected_inners(nu: Partition) -> tuple[Partition, ...]:
                  if skew_props(SkewShape(nu, mu)).is_disconnected)
 
 
-def _factors_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0) + c
-    return out
+# multiplicities of factor multisets, each a sorted tuple of factor codes
+FACTOR_SUMS = Semiring({}, {(): 1}, add_terms, mul_terms)
 
 
-def _factors_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple, int] = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = tuple(sorted(k1 + k2))
-            out[k] = out.get(k, 0) + c1 * c2
-    return out
-
-
-# multiplicities of factor multisets, each a sorted tuple of factors (i, j)
-FACTOR_SUMS = Semiring({}, {(): 1}, _factors_add, _factors_mul)
-
-
-def half_sum(shape: SkewShape, flag: Flag, image=lambda i: i) -> dict:
+def half_sum(shape: SkewShape, flag: Flag, factor) -> dict:
     """Sum over the positive tableaux of shape under flag of the factor
-    multisets {(image(i), i+c-r) : value i in cell (r, c)}; a factor (a, b)
-    stands for beta*(y_a (-) y_b), one beta per cell beyond the weight."""
+    multisets {factor(i, c-r) : value i in cell (r, c)}, as sorted tuples.
+    j_plus passes the code of (image(i), i+c-r), which stands for
+    beta*(y_image(i) (-) y_{i+c-r}), one beta per cell beyond the weight."""
     spec = EnumSpec(shape, flag, "positive", (1, max([1, *flag.bounds])))
-    return tableau_sum(spec, FACTOR_SUMS,
-                       lambda m, d: {((image(m), m + d),): 1},
-                       lambda m, d: {(): 1, ((image(m), m + d),): 1})
+    return tableau_sum(spec, FACTOR_SUMS, lambda m, d: {(factor(m, d),): 1},
+                       lambda m, d: {(): 1, (factor(m, d),): 1})
 
 
 def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
@@ -142,6 +135,7 @@ def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
     if not lam.contains(nu):
         raise ValueError(f"nu {nu} not contained in lambda {lam}")
     psi, pis = _psi_and_pis(lam, phi_plus)  # validates the flag
+    pi = pis[-1]
     total = FACTOR_SUMS.zero
     for mu in _disconnected_inners(nu):
         shape = SkewShape(lam, mu)
@@ -151,10 +145,10 @@ def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
         if any(phi_plus.entry(r) == 0 for r in props.rows_occupied):
             continue
         upper, lower = diagonal_split(shape)
-        total = _factors_add(total, _factors_mul(
-            half_sum(upper, phi_plus), half_sum(lower, psi, pis[-1])))
-    return GrahamSum({GrahamMonomial(k, nu.size - lam.size): c
-                      for k, c in total.items()})
+        total = add_terms(total, mul_terms(
+            half_sum(upper, phi_plus, lambda m, d: factor_code((m, m + d))),
+            half_sum(lower, psi, lambda m, d: factor_code((pi(m), m + d)))))
+    return GrahamSum(total, nu.size - lam.size)
 
 
 def j_minus(nu: Partition, phi_minus: Flag, rho: Partition) -> GrahamSum:
@@ -169,9 +163,8 @@ def j_minus(nu: Partition, phi_minus: Flag, rho: Partition) -> GrahamSum:
         raise ValueError(f"rho {rho} not contained in nu {nu}")
     inner = j_plus(nu.conjugate(), xi_flag(nu, phi_minus), rho.conjugate())
     # omega_1 is an involution on factors: distinct monomials stay distinct
-    return GrahamSum({GrahamMonomial(tuple(map(omega1_factor, m.factors)),
-                                     m.beta_shift): c
-                      for m, c in inner.terms.items()})
+    return GrahamSum({tuple(sorted(map(omega1_code, k))): c
+                      for k, c in inner.terms.items()}, inner.beta_exp)
 
 
 @dataclass(frozen=True)
@@ -204,7 +197,8 @@ def j_coefficient(lam: Partition, phi: Flag, rho: Partition,
                   context: PipelineContext | None = None) -> GrahamSum:
     """The normalized Graham-positive coefficient: every monomial's total
     beta exponent equals its factor count after multiplying by
-    beta^{|lam| - |rho|}.  build_context(lam, phi, rho) may supply nu."""
+    beta^{|lam| - |rho|}, so the returned sum has beta_exp 0.
+    build_context(lam, phi, rho) may supply nu."""
     if not is_compatible(lam, phi):
         raise ValueError(f"flag {phi} not compatible with {lam}")
     if not lam.contains(rho):
@@ -215,11 +209,9 @@ def j_coefficient(lam: Partition, phi: Flag, rho: Partition,
     phi_minus, phi_plus = flag_split(phi)
     raw = j_minus(nu, Flag(phi_minus.bounds[:len(nu)]), rho) \
         * j_plus(lam, phi_plus, nu)
-    normalized = raw.shifted(lam.size - rho.size)
-    if any(m.beta_shift != 0 for m in normalized.terms):
-        raise RuntimeError("a monomial's beta exponent differs from its "
-                           "factor count")
-    return normalized
+    if raw.beta_exp + lam.size - rho.size != 0:
+        raise RuntimeError("the beta exponent differs from the factor count")
+    return GrahamSum(raw.terms)
 
 
 def j_of_permutation(w: Permutation, rho: Partition) -> GrahamSum:

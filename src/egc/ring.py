@@ -1,11 +1,21 @@
 """Prime-field substrate: the deformed difference, Graham-positive sums,
-evaluation points, and sparse polynomials with divided differences."""
+evaluation points, and sparse polynomials with divided differences.
+
+A Graham sum stores one beta exponent for the whole sum and maps each
+monomial to its multiplicity.  A monomial is keyed by the sorted tuple of
+its factor codes.  The code of a factor (i, j) is the int
+(type << 42) | (i + 2^20 - 1) << 21 | (j + 2^20 - 1), so plain int order
+on codes is the canonical order (type, i, j) of factor_sort_key, and
+sorted keys sort monomials canonically.  factor_code checks each distinct
+factor once, where its code is made; GrahamMonomial and
+GrahamSum.from_json check every factor they are given."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 DEFAULT_PRIME = 2305843009213693951  # 2^61 - 1
 
@@ -91,36 +101,104 @@ def omega1_factor(f: tuple[int, int]) -> tuple[int, int]:
     return (1 - j, 1 - i)
 
 
-@dataclass(frozen=True)
+_IDX_BITS = 21
+# indices lie in [1 - 2^20, 2^20], a range that i -> 1 - i (omega_1) keeps
+_IDX_LO, _IDX_HI = 1 - (1 << 20), 1 << 20
+_IDX_MASK = (1 << _IDX_BITS) - 1
+
+
+@lru_cache(maxsize=1 << 16)
+def factor_code(f: tuple[int, int]) -> int:
+    """The int (type << 42) | (i + 2^20 - 1) << 21 | (j + 2^20 - 1) of a
+    factor: plain int order on codes is factor_sort_key order on factors.
+
+    Checks the factor (factor_type) once per distinct factor."""
+    ftype = factor_type(f)
+    i, j = f
+    if not (_IDX_LO <= i <= _IDX_HI and _IDX_LO <= j <= _IDX_HI):
+        raise ValueError(f"factor {f} has an index outside "
+                         f"[{_IDX_LO}, {_IDX_HI}]")
+    return (ftype << 2 * _IDX_BITS) | ((i - _IDX_LO) << _IDX_BITS) \
+        | (j - _IDX_LO)
+
+
+def code_factor(code: int) -> tuple[int, int]:
+    """The factor (i, j) a code stands for."""
+    return (((code >> _IDX_BITS) & _IDX_MASK) + _IDX_LO,
+            (code & _IDX_MASK) + _IDX_LO)
+
+
+@lru_cache(maxsize=1 << 16)
+def omega1_code(code: int) -> int:
+    """The code of omega1_factor of the factor a code stands for."""
+    return factor_code(omega1_factor(code_factor(code)))
+
+
+def add_terms(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return out
+
+
+def mul_terms(a: dict, b: dict) -> dict:
+    """The product of two sums of keys (sorted code tuples)."""
+    out: dict[tuple, int] = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(sorted(k1 + k2)) if k1 and k2 else k1 or k2
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
+
+
 class GrahamMonomial:
     """A multiset of factors (i, j), each standing for beta*(y_i (-) y_j),
-    with an extra beta exponent beyond one per factor."""
+    in the order of factor_sort_key.  `key` is its sorted tuple of factor
+    codes, the form in which a GrahamSum stores it."""
 
-    factors: tuple[tuple[int, int], ...] = ()
-    beta_shift: int = 0
+    __slots__ = ("factors", "key")
 
-    def __post_init__(self):
-        factors = tuple(sorted((tuple(f) for f in self.factors),
-                               key=factor_sort_key))
-        for f in factors:
-            factor_type(f)  # validates prec(i, j)
-        object.__setattr__(self, "factors", factors)
+    def __init__(self, factors=()):
+        self.key = tuple(sorted(factor_code(tuple(f)) for f in factors))
+        self.factors = tuple(map(code_factor, self.key))
 
-    def shifted(self, k: int) -> "GrahamMonomial":
-        return GrahamMonomial(self.factors, self.beta_shift + k)
+    @classmethod
+    def of_key(cls, key: tuple[int, ...]) -> "GrahamMonomial":
+        """The view of a stored key, whose codes factor_code made."""
+        m = object.__new__(cls)
+        m.key, m.factors = key, tuple(map(code_factor, key))
+        return m
 
-    def __mul__(self, other: "GrahamMonomial") -> "GrahamMonomial":
-        return GrahamMonomial(self.factors + other.factors,
-                              self.beta_shift + other.beta_shift)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GrahamMonomial) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return f"GrahamMonomial({self.factors!r})"
 
 
 class GrahamSum:
-    """Formal nonnegative-integer combination of Graham monomials."""
+    """Formal nonnegative-integer combination of Graham monomials, all of
+    them times one power beta^beta_exp.
 
-    def __init__(self, terms: dict[GrahamMonomial, int] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
-        if any(c < 0 for c in self.terms.values()):
-            raise ValueError("Graham sums have positive coefficients")
+    `terms` maps each monomial's key (its sorted tuple of factor codes) to
+    its multiplicity, so a monomial's total beta exponent is beta_exp plus
+    its factor count.  One exponent per sum is exact: every set-valued
+    tableau of a half sum weighs beta^{-|shape|} times one beta per factor,
+    and products add exponents.  A normalized coefficient has beta_exp 0."""
+
+    __slots__ = ("terms", "beta_exp")
+
+    def __init__(self, terms: dict[tuple[int, ...], int] | None = None,
+                 beta_exp: int = 0):
+        self.terms = dict(terms or {})
+        if self.terms and min(self.terms.values()) <= 0:
+            if min(self.terms.values()) < 0:
+                raise ValueError("Graham sums have positive coefficients")
+            self.terms = {k: c for k, c in self.terms.items() if c != 0}
+        self.beta_exp = beta_exp
 
     @classmethod
     def zero(cls) -> "GrahamSum":
@@ -128,85 +206,95 @@ class GrahamSum:
 
     @classmethod
     def one(cls) -> "GrahamSum":
-        return cls({GrahamMonomial(): 1})
+        return cls({(): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __mul__(self, other: "GrahamSum") -> "GrahamSum":
-        out: dict[GrahamMonomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                out[m] = out.get(m, 0) + c1 * c2
-        return GrahamSum(out)
-
-    def shifted(self, k: int) -> "GrahamSum":
-        return GrahamSum({m.shifted(k): c for m, c in self.terms.items()})
+        return GrahamSum(mul_terms(self.terms, other.terms),
+                         self.beta_exp + other.beta_exp)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GrahamSum) and self.terms == other.terms
+        return isinstance(other, GrahamSum) and self.terms == other.terms \
+            and self.beta_exp == other.beta_exp
 
     def canonical(self) -> list[tuple[GrahamMonomial, int]]:
-        return sorted(self.terms.items(),
-                      key=lambda mc: ([factor_sort_key(f) for f in mc[0].factors],
-                                      mc[0].beta_shift))
+        return [(GrahamMonomial.of_key(k), c)
+                for k, c in sorted(self.terms.items())]
 
     def __repr__(self):
         return "GrahamSum(" + " + ".join(self.text_lines()) + ")"
 
-    def to_dict(self, normalization_beta_exp: int) -> dict:
-        """The JSON payload of a normalized sum, as plain lists and ints."""
-        monos = []
-        for m, c in self.canonical():
-            if m.beta_shift != 0:
-                raise ValueError("serialize normalized sums only")
-            monos.append({"factors": [list(f) for f in m.factors], "mult": c})
-        return {"normalization_beta_exp": normalization_beta_exp,
-                "monomials": monos}
-
-    def to_json(self, normalization_beta_exp: int) -> str:
-        return json.dumps(self.to_dict(normalization_beta_exp))
+    def to_json(self, normalization_beta_exp: int, extra: dict, out) -> None:
+        """Write to out, in chunks, the text of json.dumps(payload, indent=1),
+        where payload holds normalization_beta_exp, the monomials in
+        canonical order and then the items of extra.  Each distinct factor
+        is formatted once."""
+        if self.beta_exp != 0:
+            raise ValueError("serialize normalized sums only")
+        emit = out.write
+        factor_text = {
+            code: "    [\n     %d,\n     %d\n    ]" % code_factor(code)
+            for code in set(chain.from_iterable(self.terms))}
+        emit('{\n "normalization_beta_exp": %d,\n "monomials": '
+             % normalization_beta_exp)
+        items, step = sorted(self.terms.items()), 4096  # monomials a write
+        if not items:
+            emit("[]")
+        for start in range(0, len(items), step):
+            emit(("[\n" if start == 0 else ",\n") + ",\n".join(
+                '  {\n   "factors": '
+                + ("[\n" + ",\n".join([factor_text[c] for c in k])
+                   + "\n   ]" if k else "[]")
+                + ',\n   "mult": %d\n  }' % c
+                for k, c in items[start:start + step]))
+        if items:
+            emit("\n ]")
+        # the extra items sit at the payload's depth: splice their own dump
+        emit(",\n" + json.dumps(extra, indent=1)[2:] if extra else "\n}")
 
     @classmethod
     def from_json(cls, text: str) -> tuple["GrahamSum", int]:
         data = json.loads(text)
-        terms = {}
+        terms: dict[tuple, int] = {}
         for mono in data["monomials"]:
-            m = GrahamMonomial(tuple(tuple(f) for f in mono["factors"]))
-            terms[m] = terms.get(m, 0) + mono["mult"]
+            k = GrahamMonomial(mono["factors"]).key  # validates each factor
+            terms[k] = terms.get(k, 0) + mono["mult"]
         return cls(terms), data["normalization_beta_exp"]
 
     def text_lines(self) -> list[str]:
         if self.is_zero():
             return ["0"]
+        shift = f" · β^{self.beta_exp}" if self.beta_exp else ""
         lines = []
         for m, c in self.canonical():
             fs = "".join(f"β(y{i}⊖y{j})" for i, j in m.factors) or "1"
             prefix = "" if c == 1 else f"{c}·"
-            shift = f" · β^{m.beta_shift}" if m.beta_shift else ""
             lines.append(prefix + fs + shift)
         return lines
 
 
 def eval_graham(gsum: GrahamSum, point: "EvaluationPoint") -> int:
+    """The sum's value at the point: beta^beta_exp once per sum, and each
+    distinct factor's beta*(y_i (-) y_j) once per call.  A negative
+    beta_exp at beta = 0 raises EvaluationError."""
     p, beta = point.prime, point.beta
-    factor_val: dict[tuple[int, int], int] = {}  # each distinct y_i (-) y_j
+    factor_val: dict[int, int] = {}
     total = 0
-    for m, c in gsum.terms.items():
-        exp = m.beta_shift + len(m.factors)
-        if exp >= 0:
-            bpow = pow(beta, exp, p)
-        else:
-            bpow = pow(field_inv(beta, p), -exp, p)
-        val = c % p * bpow % p
-        for f in m.factors:
-            if f not in factor_val:
-                factor_val[f] = point.ominus(point.y_val(f[0]),
-                                             point.y_val(f[1]))
-            val = val * factor_val[f] % p
+    for k, c in gsum.terms.items():
+        val = c % p
+        for code in k:
+            f = factor_val.get(code)
+            if f is None:
+                i, j = code_factor(code)
+                f = factor_val[code] = beta * point.ominus(
+                    point.y_val(i), point.y_val(j)) % p
+            val = val * f % p
         total = (total + val) % p
-    return total
+    exp = gsum.beta_exp
+    bpow = pow(beta, exp, p) if exp >= 0 else pow(field_inv(beta, p), -exp, p)
+    return total * bpow % p
 
 
 @dataclass(frozen=True)

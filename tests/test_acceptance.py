@@ -198,7 +198,7 @@ def test_criterion_9_worked_coefficients_and_beta_zero():
     for (parts, bounds, rparts), factors in fixtures:
         lam, phi, rho = Partition(parts), Flag(bounds), Partition(rparts)
         j = j_coefficient(lam, phi, rho)
-        assert j == GrahamSum({GrahamMonomial(factors, 0): 1})
+        assert j == GrahamSum({GrahamMonomial(factors).key: 1})
         for _ in range(5):
             pt = sample_point(P, rng, (), range(-4, 5))
             lhs = eval_graham(j, pt)
@@ -208,7 +208,7 @@ def test_criterion_9_worked_coefficients_and_beta_zero():
 
     # at beta=0 with |rho| = |lam| the coefficient collapses to the
     # empty-monomial constant: 1 at rho = lam, 0 elsewhere
-    empty = GrahamMonomial((), 0)
+    empty = GrahamMonomial(())
     for lam in partitions_up_to(5):
         peers = [rho for rho in partitions_up_to(lam.size)
                  if rho.size == lam.size]

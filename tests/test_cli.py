@@ -57,6 +57,19 @@ def test_j_json_metadata(capsys):
     assert payload["q"] == 2
 
 
+def test_j_json_canonical_order(capsys):
+    # in the order of factor types, then indices: Type 2 before Type 3,
+    # within a monomial and between monomials
+    code, out, _ = run(capsys, "j", "--lambda", "2,1", "--phi", "-3,-1",
+                       "--rho", "2,1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["monomials"] == [
+        {"factors": [], "mult": 1},
+        {"factors": [[-1, 0]], "mult": 1},
+        {"factors": [[-1, 0], [1, -2]], "mult": 1},
+        {"factors": [[1, -2]], "mult": 1}]
+
+
 def test_j_incompatible_flag(capsys):
     code, _, err = run(capsys, "j", "--lambda", "1,1", "--phi", "1,5",
                        "--rho", "1")

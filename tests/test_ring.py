@@ -1,13 +1,16 @@
 """Field arithmetic, Graham monomials and sums, sparse polynomials."""
 
+import io
+import json
 import random
 
 import pytest
 
 from egc.cli import RunConfig
 from egc.ring import (DEFAULT_PRIME, EvaluationError, EvaluationPoint,
-                      GrahamMonomial, GrahamSum, SparsePoly, eval_graham,
-                      factor_type, field_inv, is_prime, isobaric, ominus,
+                      GrahamMonomial, GrahamSum, SparsePoly, code_factor,
+                      eval_graham, factor_code, factor_sort_key, factor_type,
+                      field_inv, is_prime, isobaric, ominus, omega1_code,
                       omega1_factor, oneg, prec, sample_point)
 
 P = 101
@@ -118,36 +121,97 @@ def test_omega1_factor():
 
 
 def test_graham_monomial_sorting():
-    m = GrahamMonomial(((2, 0), (1, 2), (1, 2)), 0)
+    m = GrahamMonomial(((2, 0), (1, 2), (1, 2)))
     assert m.factors == ((1, 2), (1, 2), (2, 0))
     with pytest.raises(ValueError):
-        GrahamMonomial(((2, 1),), 0)
+        GrahamMonomial(((2, 1),))
+
+
+def test_graham_monomial_boundary():
+    with pytest.raises(ValueError):  # an index the codes cannot hold
+        GrahamMonomial(((1, (1 << 20) + 1),))
+    with pytest.raises(ValueError):
+        factor_code((-(1 << 20), 0))
+    with pytest.raises(ValueError):  # out of the order 1 < 2 < ... < 0
+        GrahamSum.from_json('{"normalization_beta_exp": 0, '
+                            '"monomials": [{"factors": [[0, -1]], '
+                            '"mult": 1}]}')
+
+
+def test_factor_codes_sort_canonically():
+    factors = [(i, j) for i in range(-6, 7) for j in range(-6, 7)
+               if prec(i, j)] + [(1 - (1 << 20), 0), (1, 1 << 20),
+                                 (1 << 20, 1 - (1 << 20))]
+    by_code = sorted(factors, key=factor_code)
+    assert by_code == sorted(factors, key=factor_sort_key)
+    for f in factors:
+        assert code_factor(factor_code(f)) == f
+        assert code_factor(omega1_code(factor_code(f))) == omega1_factor(f)
+
+
+def gsum(monomials, beta_exp=0):
+    """The sum of {factors: multiplicity}, times beta^beta_exp."""
+    return GrahamSum({GrahamMonomial(f).key: c for f, c in monomials.items()},
+                     beta_exp)
+
+
+def dumped(s, norm, extra):
+    out = io.StringIO()
+    s.to_json(norm, extra, out)
+    return out.getvalue()
 
 
 def test_graham_sum_product_and_shift():
-    a = GrahamSum({GrahamMonomial(((1, 2),), 0): 1})
-    b = GrahamSum({GrahamMonomial(((2, 0),), 1): 2})
+    a = gsum({((1, 2),): 1})
+    b = gsum({((2, 0),): 2}, 1)
     prod = a * b
     ((mono, coeff),) = prod.canonical()
     assert mono.factors == ((1, 2), (2, 0))
-    assert mono.beta_shift == 1 and coeff == 2
-    assert all(m.beta_shift == 0 for m in prod.shifted(-1).terms)
+    assert prod.beta_exp == 1 and coeff == 2
+    assert (prod * GrahamSum.one()).beta_exp == 1
+    assert (prod * b).beta_exp == 2
 
 
 def test_graham_sum_json_roundtrip():
-    s = GrahamSum({GrahamMonomial(((1, 2), (2, 0)), 0): 3,
-                   GrahamMonomial((), 0): 1})
-    text = s.to_json(2)
-    back, norm = GrahamSum.from_json(text)
+    s = gsum({((1, 2), (2, 0)): 3, (): 1})
+    back, norm = GrahamSum.from_json(dumped(s, 2, {}))
     assert back == s and norm == 2
+
+
+JSON_EXTRA = {"lambda": [2, 1], "phi": [-1, 2], "rho": [], "nu": None,
+              "q": 1, "case": "both"}
+
+
+@pytest.mark.parametrize("monomials", [
+    {},  # the zero sum
+    {(): 1},  # the constant monomial
+    {((1, 2), (1, 2)): 2, ((2, 0),): 5},  # multiplicities above 1
+    {((1, 3), (-2, 0), (4, -1)): 1, ((-5, -3), (2, -7)): 7, (): 3,
+     ((-1, 0),): 1},  # all three types, negative indices
+    {((1, k),): k for k in range(2, 9000)},  # more than one written chunk
+])
+@pytest.mark.parametrize("extra", [{}, JSON_EXTRA])
+def test_graham_sum_json_matches_dumps(monomials, extra):
+    s = gsum(monomials)
+    payload = {"normalization_beta_exp": 3, "monomials": [
+        {"factors": [list(f) for f in m.factors], "mult": c}
+        for m, c in s.canonical()], **extra}
+    text = dumped(s, 3, extra)
+    assert text == json.dumps(payload, indent=1)
+    back, norm = GrahamSum.from_json(text)
+    assert back == s and norm == 3
 
 
 def test_eval_graham():
     assert eval_graham(GrahamSum.zero(), _pt()) == 0
     assert eval_graham(GrahamSum.one(), _pt()) == 1
-    s = GrahamSum({GrahamMonomial(((1, 2),), 0): 1})
+    s = gsum({((1, 2),): 1})
     pt = EvaluationPoint.make(P, 1, {}, {1: 3, 2: 1})
     assert eval_graham(s, pt) == 1  # 1*(3-1)/(1+1)
+    # beta^-1 times beta*(y_1 (-) y_2), at beta = 2: 2*(3-1)/(1+2)/2
+    s = gsum({((1, 2),): 1}, -1)
+    pt = EvaluationPoint.make(P, 2, {}, {1: 3, 2: 1})
+    assert eval_graham(s, pt) == 2 * field_inv(3, P) % P
 
 
 def _pt():
