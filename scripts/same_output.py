@@ -7,7 +7,9 @@ tree, and prints every command whose stdout or exit code differs:
 
 - `egc j --format json` on each rung of the benchmark ladder
   (`bench/workloads.LADDER`, read from the working tree);
-- `egc verify --suite all --max-size 3 --seed 0 --format json`.
+- `egc verify --suite all --max-size 3 --seed 0 --format json`;
+- `egc tableaux`, with an explicit window and with the default one;
+- `egc perm --oneline`.
 
 REV's `src/` is unpacked with `git archive` into a temporary directory,
 which is removed afterwards; nothing is registered in the repository.
@@ -28,15 +30,21 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-VERIFY = ["verify", "--suite", "all", "--max-size", "3", "--seed", "0",
-          "--format", "json"]
+OTHERS = [
+    ["verify", "--suite", "all", "--max-size", "3", "--seed", "0",
+     "--format", "json"],
+    ["tableaux", "--lambda", "1,1", "--mu", "1", "--flag", "1,2", "--sign",
+     "positive", "--window", "1:2"],
+    ["tableaux", "--lambda", "2,1"],
+    ["perm", "--oneline", "3,4,5,1,6,2", "--base", "1"],
+]
 
 
 def commands() -> list[list[str]]:
     sys.dont_write_bytecode = True  # leave nothing under bench/
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import LADDER
-    return [rung.argv() for rung in LADDER] + [VERIFY]
+    return [rung.argv() for rung in LADDER] + OTHERS
 
 
 def unpack_src(rev: str, dest: Path) -> None:

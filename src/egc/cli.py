@@ -10,37 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 
 from .perms import Permutation, code_of, code_shape_flag
 from .pipeline import build_context, j_coefficient
-from .ring import DEFAULT_PRIME, GrahamSum, is_prime
+from .ring import GrahamSum
 from .shapes import Flag, Partition, SkewShape, is_compatible
 from .tableaux import EnumSpec, enumerate_tableaux
-from .verify import SUITES, verify_identities
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    prime: int = DEFAULT_PRIME
-    seed: int = 0
-    trials: int = 5
-    window: tuple[int, int] = (-3, 3)
-    max_size: int = 4
-    flag_range: tuple[int, int] = (-2, 3)
-    fmt: str = "text"
-    jobs: int = 1
-
-    def __post_init__(self):
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if self.trials < 0:
-            raise ValueError("trials must be nonnegative")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        for lo, hi in (self.window, self.flag_range):
-            if lo > hi:
-                raise ValueError(f"empty range {lo}:{hi}")
+from .verify import SUITES, RunConfig, verify_identities
 
 
 def parse_ints(text: str) -> tuple[int, ...]:
@@ -53,19 +30,6 @@ def parse_ints(text: str) -> tuple[int, ...]:
 def parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     return (int(lo), int(hi))
-
-
-def config_from(args: argparse.Namespace) -> RunConfig:
-    kw = {}
-    for name in ("prime", "seed", "trials", "max_size", "jobs"):
-        if getattr(args, name, None) is not None:
-            kw[name] = getattr(args, name)
-    for name in ("window", "flag_range"):
-        if getattr(args, name, None) is not None:
-            kw[name] = parse_range(getattr(args, name))
-    if getattr(args, "format", None) is not None:
-        kw["fmt"] = args.format
-    return RunConfig(**kw)
 
 
 def cmd_j(args) -> int:
@@ -127,11 +91,11 @@ def cmd_perm(args) -> int:
 
 
 def cmd_tableaux(args) -> int:
-    cfg = config_from(args)
     lam = Partition(parse_ints(args.lam))
     mu = Partition(parse_ints(args.mu))
     flag = Flag(parse_ints(args.flag)) if args.flag is not None else None
-    spec = EnumSpec(SkewShape(lam, mu), flag, args.sign, cfg.window)
+    spec = EnumSpec(SkewShape(lam, mu), flag, args.sign,
+                    parse_range(args.window))
     count = 0
     for t in enumerate_tableaux(spec):
         count += 1
@@ -141,12 +105,15 @@ def cmd_tableaux(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = config_from(args)
-    report = verify_identities(
-        args.suite, prime=cfg.prime, seed=cfg.seed, trials=cfg.trials,
-        max_size=cfg.max_size, flag_range=cfg.flag_range, window=cfg.window,
-        jobs=cfg.jobs)
-    if cfg.fmt == "json":
+    # the verify parser leaves out every option the user did not give, so
+    # RunConfig supplies the defaults
+    options = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+               if hasattr(args, f.name)}
+    for name in ("window", "flag_range"):
+        if name in options:
+            options[name] = parse_range(options[name])
+    report = verify_identities(args.suite, **options)
+    if getattr(args, "format", "text") == "json":
         print(json.dumps(report, indent=1))
     else:
         for sub in report.get("suites", [report]):
@@ -185,10 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--flag", metavar="BOUNDS")
     pt.add_argument("--sign", choices=("positive", "nonpositive", "any"),
                     default="any")
-    pt.add_argument("--window", metavar="lo:hi")
+    pt.add_argument("--window", default="-3:3", metavar="lo:hi")
     pt.set_defaults(func=cmd_tableaux)
 
-    pv = sub.add_parser("verify", help="run a verification suite")
+    pv = sub.add_parser("verify", help="run a verification suite",
+                        argument_default=argparse.SUPPRESS)
     pv.add_argument("--suite", choices=SUITES + ("all",), default="all")
     pv.add_argument("--max-size", dest="max_size", type=int)
     pv.add_argument("--flag-range", dest="flag_range", metavar="lo:hi")

@@ -259,8 +259,7 @@ def backstable_approx(w: Permutation, p: int, point: EvaluationPoint,
     return table.value(w2)
 
 
-def gvex_check(w: Permutation, point: EvaluationPoint,
-               window: tuple[int, int] | None = None, p: int = 0,
+def gvex_check(w: Permutation, point: EvaluationPoint, p: int = 0,
                n: int | None = None, method: str = "auto") -> bool:
     """Compare the backstable approximation of 𝔊_w against the flagged
     tableau sum for (shape(w), flag(w)) under the same specialization.
@@ -280,11 +279,4 @@ def gvex_check(w: Permutation, point: EvaluationPoint,
     if point.x_support and max(point.x_support) > nn - p:
         raise ValueError(f"x-support extends above n-p = {nn - p}")
     lhs = backstable_approx(w, p, point, n=n, method=method)
-    shape = SkewShape(lam)
-    if window is None:
-        hi = max(phi) if len(phi) else 0
-        dead = _dead_below(shape, point)
-        lo = min(1 - p, dead if dead is not None else 1 - p)
-        window = (min(lo, hi), hi)
-    rhs = g_eval(shape, phi, "any", point, window)
-    return lhs == rhs
+    return lhs == g_eval(SkewShape(lam), phi, "any", point)

@@ -368,11 +368,14 @@ class EvaluationPoint:
         return EvaluationPoint(self.prime, self.beta, newx, newy)
 
 
+SAMPLE_TRIES = 100
+
+
 def sample_point(prime: int, rng, x_indices, y_indices, beta: int | None = None,
-                 distinct_x: bool = False, max_tries: int = 100) -> EvaluationPoint:
+                 distinct_x: bool = False) -> EvaluationPoint:
     """Random point with nonzero values on the given supports; resamples on
-    vanishing denominators."""
-    for _ in range(max_tries):
+    vanishing denominators, at most SAMPLE_TRIES times."""
+    for _ in range(SAMPLE_TRIES):
         b = beta if beta is not None else rng.randrange(1, prime)
         try:
             xs = {i: rng.randrange(1, prime) for i in x_indices}

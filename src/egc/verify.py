@@ -13,6 +13,8 @@ from __future__ import annotations
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import partial
 from itertools import permutations as iter_permutations
 
 from .grothendieck import ORBIT_PRIME, g_eval, grothendieck_poly, gvex_check
@@ -20,8 +22,8 @@ from .perms import Permutation, from_partition
 from .pipeline import (_disconnected_inners, chi_flags, j_coefficient,
                        j_numeric, j_plus_numeric, pi_algorithm)
 from .ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, eval_graham,
-                   factor_type, isobaric, ominus, omega1_factor, prec,
-                   sample_point)
+                   factor_type, is_prime, isobaric, ominus, omega1_factor,
+                   prec, sample_point)
 from .shapes import (Flag, Partition, SkewShape, compatible_flags,
                      diagonal_split, flag_split, skew_props, subpartitions)
 from .tableaux import (COUNTS, EnumSpec, enumerate_tableaux, merge,
@@ -29,6 +31,35 @@ from .tableaux import (COUNTS, EnumSpec, enumerate_tableaux, merge,
                        tableau_sum, weight_eval)
 
 SUITES = ("decompose", "pi", "gvex", "theorem", "omega", "ring")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything a verification run reads: the field, the random streams,
+    the number of sampled points per instance, the instance ranges and the
+    worker count.  The only place these options get defaults and checks."""
+
+    prime: int = DEFAULT_PRIME
+    seed: int = 0
+    trials: int = 5
+    max_size: int = 4
+    flag_range: tuple[int, int] = (-2, 3)
+    window: tuple[int, int] = (-3, 3)
+    jobs: int = 1
+
+    def __post_init__(self):
+        if not is_prime(self.prime):
+            raise ValueError(f"{self.prime} is not prime")
+        if self.trials < 0:
+            raise ValueError("trials must be nonnegative")
+        if self.max_size < 1:
+            raise ValueError(f"max_size must be at least 1, got "
+                             f"{self.max_size}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        for lo, hi in (self.window, self.flag_range):
+            if lo > hi:
+                raise ValueError(f"empty range {lo}:{hi}")
 
 
 def _stream(seed: int, name: str) -> random.Random:
@@ -48,6 +79,13 @@ def partitions_up_to(max_size: int) -> list[Partition]:
     return sorted(out, key=lambda p: (p.size, p.parts))
 
 
+def _pairs(max_size: int, lo: int, hi: int) -> list[tuple]:
+    """(λ, φ) instance keys: every nonempty λ of size at most max_size with
+    each flag compatible with it whose entries lie in [lo, hi]."""
+    return [(lam.parts, phi.bounds) for lam in partitions_up_to(max_size)
+            for phi in compatible_flags(lam, lo, hi)]
+
+
 def _count(spec: EnumSpec) -> int:  # a cell's largest value M: 2^{M-lb} sets
     return tableau_sum(spec, COUNTS, lambda m, d: 1, lambda m, d: 2)
 
@@ -56,9 +94,9 @@ def _count(spec: EnumSpec) -> int:  # a cell's largest value M: 2^{M-lb} sets
 # Suite: decompose — split/merge bijection and the flagged decomposition.
 
 
-def _decompose_instance(args) -> tuple[int, list[str]]:
-    prime, seed, trials, lam_parts, phi_bounds, window = args
-    lam, phi = Partition(lam_parts), Flag(phi_bounds)
+def _decompose_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
+    prime, trials, window = cfg.prime, cfg.trials, cfg.window
+    lam, phi = Partition(inst[0]), Flag(inst[1])
     key = f"lam={lam.parts} phi={phi.bounds}"
     checks, failures = 0, []
     wlo, whi = window
@@ -100,7 +138,7 @@ def _decompose_instance(args) -> tuple[int, list[str]]:
 
     # numeric decomposition at sampled points, with the skew factor read
     # both under the full flag and under its nonnegative part.
-    rng = _stream(seed, f"decompose:{key}")
+    rng = _stream(cfg.seed, f"decompose:{key}")
     wlo = min(wlo, 1 - lam.part(1))
     for _ in range(trials):
         pt = sample_point(prime, rng, range(1, whi + 1), range(1, whi + 1))
@@ -128,20 +166,18 @@ def _decompose_instance(args) -> tuple[int, list[str]]:
         for i in range(wlo, whi):
             if i in set(phi.bounds):
                 continue
-            sw = dict(pt._xd)
+            sw = dict(pt.x)
             sw[i], sw[i + 1] = sw.get(i + 1, 0), sw.get(i, 0)
-            pt2 = EvaluationPoint.make(prime, pt.beta, sw, dict(pt._yd))
+            pt2 = EvaluationPoint.make(prime, pt.beta, sw, dict(pt.y))
             checks += 1
             if g_eval(shape, phi, "any", pt2, (wlo, whi)) != base:
                 failures.append(f"{key}: not symmetric in x_{i}, x_{i + 1}")
     return checks, failures
 
 
-def suite_decompose(prime, seed, trials, max_size, flag_range, window, jobs):
-    instances = [(prime, seed, trials, lam.parts, phi.bounds, window)
-                 for lam in partitions_up_to(max_size)
-                 for phi in compatible_flags(lam, *flag_range)]
-    return _collect("decompose", _decompose_instance, instances, jobs)
+def suite_decompose(cfg: RunConfig) -> dict:
+    return _collect("decompose", _decompose_instance,
+                    _pairs(cfg.max_size, *cfg.flag_range), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +192,14 @@ def _chain_point(base: EvaluationPoint, pi: Permutation, nmax: int):
                                 {j: base.y_val(j) for j in base.y_support})
 
 
-def _pi_instance(args) -> tuple[int, list[str]]:
-    prime, seed, trials, lam_parts, phi_bounds = args
-    lam, phi = Partition(lam_parts), Flag(phi_bounds)
+def _pi_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
+    lam, phi = Partition(inst[0]), Flag(inst[1])
     key = f"lam={lam.parts} phi={phi.bounds}"
     checks, failures = 0, []
     pis = pi_algorithm(lam, phi)
     chis = chi_flags(lam, phi)
     nmax = max([1] + list(phi.bounds))
-    rng = _stream(seed, f"pi:{key}")
+    rng = _stream(cfg.seed, f"pi:{key}")
     for mu in subpartitions(lam):
         shape = SkewShape(lam, mu)
         if skew_props(shape).has_diagonal_cell:
@@ -172,8 +207,8 @@ def _pi_instance(args) -> tuple[int, list[str]]:
         _, lower = diagonal_split(shape)
         if not lower.cells():
             continue
-        for _ in range(trials):
-            base = sample_point(prime, rng, (),
+        for _ in range(cfg.trials):
+            base = sample_point(cfg.prime, rng, (),
                                 range(1 - len(lam) - 1, nmax + lam.part(1) + 1))
             vals = [g_eval(lower, chis[i], "positive",
                            _chain_point(base, pis[i], nmax))
@@ -185,15 +220,11 @@ def _pi_instance(args) -> tuple[int, list[str]]:
     return checks, failures
 
 
-def suite_pi(prime, seed, trials, max_size, flag_range, window, jobs):
-    hi = max(1, flag_range[1])
-    instances = [(prime, seed, trials, lam.parts, phi.bounds)
-                 for lam in partitions_up_to(max_size)
-                 for phi in compatible_flags(lam, 0, hi)]
+def suite_pi(cfg: RunConfig) -> dict:
+    instances = _pairs(cfg.max_size, 0, max(1, cfg.flag_range[1]))
     # the large worked instance exercises a nontrivial pi with three moves
-    big = Partition((4, 4, 4, 4, 4, 2, 1))
-    instances.append((prime, seed, trials, big.parts, (3, 4, 4, 5, 6, 6, 8)))
-    return _collect("pi", _pi_instance, instances, jobs)
+    instances.append(((4, 4, 4, 4, 4, 2, 1), (3, 4, 4, 5, 6, 6, 8)))
+    return _collect("pi", _pi_instance, instances, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +253,15 @@ def gvex_points(prime: int, seed: int, trials: int) -> list[EvaluationPoint]:
                          (1, 2), distinct_x=True) for _ in range(trials)]
 
 
-def _gvex_instance(args) -> tuple[int, list[str]]:
-    prime, seed, trials, images, base = args
+def _gvex_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
+    images, base = inst
     w = Permutation.from_one_line(images, base) if images \
         else Permutation.identity()
     key = f"w={','.join(map(str, images))}@{base}" if images else "w=id"
     checks, failures = 0, []
-    for pt in gvex_points(prime, seed, trials):
+    # the orbit engine multiplies two field values in int64
+    prime = cfg.prime if cfg.prime ** 2 < 2**63 else ORBIT_PRIME
+    for pt in gvex_points(prime, cfg.seed, cfg.trials):
         checks += 1
         try:
             if not gvex_check(w, pt, p=GVEX_P0, n=GVEX_N, method="orbit"):
@@ -238,8 +271,7 @@ def _gvex_instance(args) -> tuple[int, list[str]]:
     return checks, failures
 
 
-def suite_gvex(prime, seed, trials, max_size, flag_range, window, jobs):
-    gprime = prime if prime * prime < 2**63 else ORBIT_PRIME
+def suite_gvex(cfg: RunConfig) -> dict:
     instances = []
     seen = set()
     grassmannian = {from_partition(lam) for lam in partitions_up_to(3)}
@@ -249,24 +281,23 @@ def suite_gvex(prime, seed, trials, max_size, flag_range, window, jobs):
             continue  # every Grassmannian w_lam here sits inside the sweep
         seen.add(w)
         if w.images:
-            instances.append((gprime, seed, trials,
-                              w.one_line(w.window_lo, w.window_hi),
+            instances.append((w.one_line(w.window_lo, w.window_hi),
                               w.window_lo))
         else:
-            instances.append((gprime, seed, trials, (), 1))
-    return _collect("gvex", _gvex_instance, instances, jobs)
+            instances.append(((), 1))
+    return _collect("gvex", _gvex_instance, instances, cfg)
 
 
 # ---------------------------------------------------------------------------
 # Suite: theorem — structure and cross-representation of the coefficients.
 
 
-def _theorem_instance(args) -> tuple[int, list[str]]:
-    prime, seed, trials, lam_parts, phi_bounds = args
-    lam, phi = Partition(lam_parts), Flag(phi_bounds)
+def _theorem_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
+    prime = cfg.prime
+    lam, phi = Partition(inst[0]), Flag(inst[1])
     key = f"lam={lam.parts} phi={phi.bounds}"
     checks, failures = 0, []
-    rng = _stream(seed, f"theorem:{key}")
+    rng = _stream(cfg.seed, f"theorem:{key}")
     ylo = min([0] + list(phi.bounds)) - len(lam) - 1
     yhi = max([1] + list(phi.bounds)) + lam.part(1) + 1
     for rho in list(subpartitions(lam)) + [Partition(())]:
@@ -299,7 +330,7 @@ def _theorem_instance(args) -> tuple[int, list[str]]:
                 failures.append(f"{rkey}: beta=0 specialization is "
                                 f"{empty_coeff}, expected {expected}")
         norm = lam.size - rho.size
-        for _ in range(trials):
+        for _ in range(cfg.trials):
             pt = sample_point(prime, rng, (), range(ylo, yhi))
             checks += 1
             lhs = eval_graham(j, pt)
@@ -311,26 +342,24 @@ def _theorem_instance(args) -> tuple[int, list[str]]:
     return checks, failures
 
 
-def suite_theorem(prime, seed, trials, max_size, flag_range, window, jobs):
-    instances = [(prime, seed, trials, lam.parts, phi.bounds)
-                 for lam in partitions_up_to(max_size)
-                 for phi in compatible_flags(lam, *flag_range)]
-    return _collect("theorem", _theorem_instance, instances, jobs)
+def suite_theorem(cfg: RunConfig) -> dict:
+    return _collect("theorem", _theorem_instance,
+                    _pairs(cfg.max_size, *cfg.flag_range), cfg)
 
 
 # ---------------------------------------------------------------------------
 # Suite: omega — conjugation-negation on tableaux and its weight identity.
 
 
-def _omega_instance(args) -> tuple[int, list[str]]:
-    prime, seed, trials, lam_parts, window = args
-    lam = Partition(lam_parts)
+def _omega_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
+    lam = Partition(inst)
     key = f"lam={lam.parts}"
     checks, failures = 0, []
-    rng = _stream(seed, f"omega:{key}")
-    pts = [sample_point(prime, rng, range(window[0], window[1] + 1),
+    window = (max(cfg.window[0], -2), min(cfg.window[1], 2))
+    rng = _stream(cfg.seed, f"omega:{key}")
+    pts = [sample_point(cfg.prime, rng, range(window[0], window[1] + 1),
                         range(window[0] - len(lam), window[1] + lam.part(1)))
-           for _ in range(trials)]
+           for _ in range(cfg.trials)]
     pairs = [(pt, pt.omega1()) for pt in pts]
     for t in enumerate_tableaux(EnumSpec(SkewShape(lam), None, "any", window)):
         u = omega1_tableau(t)
@@ -345,12 +374,9 @@ def _omega_instance(args) -> tuple[int, list[str]]:
     return checks, failures
 
 
-def suite_omega(prime, seed, trials, max_size, flag_range, window, jobs):
-    wlo = max(window[0], -2)
-    whi = min(window[1], 2)
-    instances = [(prime, seed, trials, lam.parts, (wlo, whi))
-                 for lam in partitions_up_to(min(max_size, 4))]
-    return _collect("omega", _omega_instance, instances, jobs)
+def suite_omega(cfg: RunConfig) -> dict:
+    instances = [lam.parts for lam in partitions_up_to(min(cfg.max_size, 4))]
+    return _collect("omega", _omega_instance, instances, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +395,10 @@ def _random_poly(rng, n, prime, terms=6, degree=3):
     return f
 
 
-def suite_ring(prime, seed, trials, max_size, flag_range, window, jobs):
+def suite_ring(cfg: RunConfig) -> dict:
+    prime = cfg.prime
     checks, failures = 0, []
-    rng = _stream(seed, "ring")
+    rng = _stream(cfg.seed, "ring")
 
     for k in range(100):
         a, b, c = (rng.randrange(prime) for _ in range(3))
@@ -449,17 +476,18 @@ def suite_ring(prime, seed, trials, max_size, flag_range, window, jobs):
 # Assembly
 
 
-def _map_jobs(fn, instances, jobs):
-    workers = min(jobs, os.cpu_count() or 1, len(instances))
+def _collect(name, fn, instances, cfg):
+    """Run fn(cfg, key) on every instance key, in a process pool when
+    cfg.jobs, the CPU count and the instance count all exceed one."""
+    run = partial(fn, cfg)
+    workers = min(cfg.jobs, os.cpu_count() or 1, len(instances))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, instances))
-    return [fn(a) for a in instances]
-
-
-def _collect(name, fn, instances, jobs):
+            results = list(pool.map(run, instances))
+    else:
+        results = [run(key) for key in instances]
     checks, failures = 0, []
-    for c, f in _map_jobs(fn, instances, jobs):
+    for c, f in results:
         checks += c
         failures.extend(f)
     return _report(name, len(instances), checks, failures)
@@ -470,28 +498,20 @@ def _report(name, instances, checks, failures):
             "failures": failures, "ok": not failures}
 
 
-def verify_identities(suite: str, *, prime: int = DEFAULT_PRIME, seed: int = 0,
-                      trials: int = 5, max_size: int = 4,
-                      flag_range: tuple[int, int] = (-2, 3),
-                      window: tuple[int, int] = (-3, 3),
-                      jobs: int = 1) -> dict:
+def verify_identities(suite: str, **options) -> dict:
     """Run one verification suite (or all of them) and return a report.
 
-    Failures are collected, not raised; the report's "ok" field is true
-    exactly when every check passed.
+    The options are RunConfig's fields; a value it rejects raises
+    ValueError before any instance runs.  Failures are collected, not
+    raised; the report's "ok" field is true exactly when every check passed.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    runners = {"decompose": suite_decompose, "pi": suite_pi,
-               "gvex": suite_gvex, "theorem": suite_theorem,
-               "omega": suite_omega, "ring": suite_ring}
-    if suite == "all":
-        reports = [runners[s](prime, seed, trials, max_size, flag_range,
-                              window, jobs) for s in SUITES]
-        return {"suite": "all", "suites": reports,
-                "ok": all(r["ok"] for r in reports)}
-    if suite not in runners:
+    if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {SUITES + ('all',)}")
-    return runners[suite](prime, seed, trials, max_size, flag_range, window,
-                          jobs)
+    cfg = RunConfig(**options)
+    # looked up at call time, so a wrapper put on suite_<name> sees the run
+    if suite == "all":
+        reports = [globals()[f"suite_{s}"](cfg) for s in SUITES]
+        return {"suite": "all", "suites": reports,
+                "ok": all(r["ok"] for r in reports)}
+    return globals()[f"suite_{suite}"](cfg)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from egc.cli import RunConfig, main, parse_ints, parse_range
+from egc.cli import main, parse_ints, parse_range
+from egc.verify import verify_identities
 
 
 def run(capsys, *argv):
@@ -17,20 +18,6 @@ def test_parse_helpers():
     assert parse_ints("") == ()
     assert parse_ints("3,-1,0") == (3, -1, 0)
     assert parse_range("-2:3") == (-2, 3)
-
-
-def test_run_config_validation():
-    RunConfig()
-    with pytest.raises(ValueError):
-        RunConfig(prime=91)
-    RunConfig(trials=0)
-    with pytest.raises(ValueError):
-        RunConfig(trials=-1)
-    with pytest.raises(ValueError):
-        RunConfig(window=(3, -3))
-    for jobs in (0, -1):
-        with pytest.raises(ValueError):
-            RunConfig(jobs=jobs)
 
 
 def test_j_text(capsys):
@@ -136,6 +123,29 @@ def test_verify_same_seed_same_bytes(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_verify_matches_library(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "theorem", "--seed", "7",
+                       "--trials", "1", "--max-size", "2", "--flag-range",
+                       "-1:1", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(verify_identities(
+        "theorem", seed=7, trials=1, max_size=2, flag_range=(-1, 1)),
+        indent=1) + "\n"
+
+
+def test_verify_options_left_out_take_library_defaults(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "ring", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == verify_identities("ring")
+
+
+def test_verify_empty_run_fails(capsys):
+    # a run with no instances checks nothing, so it must not pass
+    code, out, err = run(capsys, "verify", "--suite", "theorem",
+                         "--max-size", "0")
+    assert code == 1 and "pass" not in out and "max_size" in err
 
 
 def test_verify_exhaustive_only(capsys):

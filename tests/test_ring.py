@@ -6,12 +6,12 @@ import random
 
 import pytest
 
-from egc.cli import RunConfig
 from egc.ring import (DEFAULT_PRIME, EvaluationError, EvaluationPoint,
                       GrahamMonomial, GrahamSum, SparsePoly, code_factor,
                       eval_graham, factor_code, factor_sort_key, factor_type,
                       field_inv, is_prime, isobaric, ominus, omega1_code,
                       omega1_factor, oneg, prec, sample_point)
+from egc.verify import RunConfig
 
 P = 101
 

@@ -4,7 +4,8 @@ deterministic, and parallel runs match serial ones."""
 import pytest
 
 from egc import verify
-from egc.verify import all_vexillary, partitions_up_to, verify_identities
+from egc.verify import (SUITES, RunConfig, all_vexillary, partitions_up_to,
+                        verify_identities)
 
 
 def test_partitions_up_to():
@@ -12,6 +13,37 @@ def test_partitions_up_to():
     assert len(parts) == 6
     assert len(set(parts)) == 6
     assert all(p.size <= 3 for p in parts)
+
+
+def test_run_config_validation():
+    RunConfig()
+    with pytest.raises(ValueError):
+        RunConfig(prime=91)
+    RunConfig(trials=0)
+    with pytest.raises(ValueError):
+        RunConfig(trials=-1)
+    with pytest.raises(ValueError):
+        RunConfig(window=(3, -3))
+    for jobs in (0, -1):
+        with pytest.raises(ValueError):
+            RunConfig(jobs=jobs)
+    RunConfig(max_size=1)
+    for max_size in (0, -1):
+        with pytest.raises(ValueError):
+            RunConfig(max_size=max_size)
+
+
+@pytest.mark.parametrize("options", [
+    {"max_size": 0}, {"flag_range": (3, -2)}, {"window": (3, -3)},
+    {"trials": -1}, {"prime": 91}], ids=lambda o: next(iter(o)))
+def test_invalid_options_rejected_before_any_instance(monkeypatch, options):
+    def no_run(cfg):
+        raise AssertionError("a suite ran on invalid options")
+    for s in SUITES:
+        monkeypatch.setattr(verify, f"suite_{s}", no_run)
+    for suite in SUITES + ("all",):
+        with pytest.raises(ValueError):
+            verify_identities(suite, **options)
 
 
 def test_all_vexillary_small():
