@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from egc.grothendieck import (ORBIT_PRIME, _dead_below, backstable_approx,
+from egc.grothendieck import (ORBIT_PRIME, backstable_approx, default_window,
                               g_eval)
 from egc.perms import code_shape_flag
 from egc.shapes import SkewShape
@@ -34,10 +34,7 @@ def main(out_path: Path) -> None:
         values = []
         window = None
         for pt in points:
-            hi = max(csf.flag) if len(csf.flag) else 0
-            dead = _dead_below(shape, pt)
-            lo = min(1 - GVEX_P0, dead if dead is not None else 1 - GVEX_P0)
-            window = (min(lo, hi), hi)
+            window = default_window(shape, csf.flag, "any", pt)
             lhs = backstable_approx(w, GVEX_P0, pt, n=GVEX_N, method="orbit")
             rhs = g_eval(shape, csf.flag, "any", pt, window)
             if lhs != rhs:

@@ -10,6 +10,7 @@ enumeration (method="enum"), the oracle that checks it in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import replace
 from functools import lru_cache
 from itertools import permutations as iter_permutations
@@ -163,14 +164,72 @@ def _vec_inv(a: np.ndarray, p: int) -> np.ndarray:
     return result
 
 
+ORBIT_MAX_N = 8  # an orbit vector has n! entries: 40,320 at n = 8
+
+
+@lru_cache(maxsize=ORBIT_MAX_N)
+def _orbit_index(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """What every orbit table on n coordinates shares, read-only: the orbit
+    matrix, whose row k is the k-th permutation of range(n) in
+    lexicographic order (row 0 is the identity), and for each i < n-1 the
+    row index map that swaps entries i and i+1."""
+    perms = list(iter_permutations(range(n)))
+    index = {pm: k for k, pm in enumerate(perms)}
+    partner = tuple(
+        np.array([index[pm[:i] + (pm[i + 1], pm[i]) + pm[i + 2:]]
+                  for pm in perms], dtype=np.intp)
+        for i in range(n - 1))
+    orbit = np.array(perms, dtype=np.int8)
+    for a in (orbit, *partner):
+        a.flags.writeable = False
+    return orbit, partner
+
+
+def _ascent_chain(line: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The path from w_0 down to u = line in the last-ascent tree of the
+    weak order, as (one-line of the node, letter a) pairs from w_0's child
+    to u.  The parent of a node v is v*s_a for v's last ascent a, and
+    𝔊_v = π_a 𝔊_{v*s_a}."""
+    chain = []
+    while True:
+        a = next((a for a in range(len(line) - 1, 0, -1)
+                  if line[a - 1] < line[a]), 0)
+        if not a:
+            break
+        chain.append((line, a))
+        line = line[:a - 1] + (line[a], line[a - 1]) + line[a + 1:]
+    chain.reverse()
+    return chain
+
+
 class OrbitTable:
     """Evaluates 𝔊_w(x;y) for w in S_n at the base point xs (and implicitly
     at every rearrangement of xs), by applying the isobaric recursion
-    pointwise over the orbit.  Requires pairwise distinct xs mod p."""
+    pointwise over the orbit.  Requires pairwise distinct xs mod p.
+
+    A value is read off the end of w's path in one spanning tree of the
+    weak order: the parent of u is u*s_a for u's last ascent a, the root is
+    w_0 with 𝔊_{w_0} the top product, and each edge is one step π_a.  The
+    table keeps the path of its last query, as (one-line, vector) pairs;
+    a new query reuses the longest common prefix with it and steps only
+    along the rest.  Queries in shortlex order share long prefixes in this
+    tree.  Vectors are stored as uint32, which holds every residue since
+    p < 2^31.5; products are taken in int64.
+
+    Memory: the n-only data (`_orbit_index`) is shared by every table on n
+    coordinates, (n-1)*n!*8 bytes for the swap maps and n*n! for the orbit
+    matrix.  Each table holds (2n-1)*n!*8 bytes for the per-coordinate
+    factors and inverse differences, n!*4 for 𝔊_{w_0}, and at most
+    n(n-1)/2 path vectors of n!*4 bytes.  At n = 8 that is 2.6 MB shared
+    and at most 9.5 MB per table, so n is limited to ORBIT_MAX_N.
+    """
 
     def __init__(self, xs: tuple[int, ...], ys: tuple[int, ...],
                  beta: int, prime: int):
         n = len(xs)
+        if n > ORBIT_MAX_N:
+            raise ValueError(f"orbit table on n={n} coordinates exceeds the "
+                             f"limit n <= {ORBIT_MAX_N} (n! entries each)")
         if prime * prime >= 2**63:
             raise ValueError(
                 f"prime {prime} too large for int64 orbit arithmetic")
@@ -179,22 +238,13 @@ class OrbitTable:
         if len(ys) < n - 1:
             raise ValueError(f"need {n - 1} y values")
         self.n, self.beta, self.prime = n, beta % prime, prime
-        perms = list(iter_permutations(range(n)))
-        index = {pm: k for k, pm in enumerate(perms)}
-        self.identity_index = index[tuple(range(n))]
+        orbit, self.partner = _orbit_index(n)
         xs_arr = np.array([v % prime for v in xs], dtype=np.int64)
-        pm_arr = np.array(perms, dtype=np.int64)
-        self.X = [xs_arr[pm_arr[:, i]] for i in range(n)]
-        self.A = [(1 + self.beta * Xi) % prime for Xi in self.X]
-        self.partner = []
-        self.invdiff = []
-        for i in range(n - 1):
-            swapped = [index[pm[:i] + (pm[i + 1], pm[i]) + pm[i + 2:]]
-                       for pm in perms]
-            self.partner.append(np.array(swapped, dtype=np.int64))
-            self.invdiff.append(_vec_inv((self.X[i] - self.X[i + 1]) % prime,
-                                         prime))
-        top = np.ones(len(perms), dtype=np.int64)
+        X = [xs_arr[orbit[:, i]] for i in range(n)]
+        self.A = [(1 + self.beta * Xi) % prime for Xi in X]
+        self.invdiff = [_vec_inv((X[i] - X[i + 1]) % prime, prime)
+                        for i in range(n - 1)]
+        top = np.ones(len(orbit), dtype=np.int64)
         for i in range(1, n):
             for j in range(1, n - i + 1):
                 yv = ys[j - 1] % prime
@@ -202,26 +252,30 @@ class OrbitTable:
                 if den == 0:
                     raise EvaluationError("1 + beta*y vanishes in top product")
                 inv = field_inv(den, prime)
-                top = top * ((self.X[i - 1] - yv) % prime) % prime * inv % prime
-        self.top = top
-        self._cache: dict[tuple[int, ...], int] = {}
+                top = top * ((X[i - 1] - yv) % prime) % prime * inv % prime
+        self.top = top.astype(np.uint32)
+        self._path: list[tuple[tuple[int, ...], np.ndarray]] = []
 
     def _op(self, F: np.ndarray, i: int) -> np.ndarray:
         G = F[self.partner[i - 1]]
         num = (self.A[i] * F - self.A[i - 1] * G) % self.prime
-        return num * self.invdiff[i - 1] % self.prime
+        return (num * self.invdiff[i - 1] % self.prime).astype(np.uint32)
 
     def value(self, w: Permutation) -> int:
         """𝔊_w evaluated at the base point; w supported in 1..n."""
         if w.images and not (1 <= w.lo and w.window_hi <= self.n):
             raise ValueError(f"permutation {w} not supported in 1..{self.n}")
-        key = w.one_line(1, self.n)
-        if key not in self._cache:
-            F = self.top
-            for i in reversed((w.inverse() * _w0(self.n)).reduced_word()):
-                F = self._op(F, i)
-            self._cache[key] = int(F[self.identity_index])
-        return self._cache[key]
+        chain = _ascent_chain(w.one_line(1, self.n))
+        path = self._path
+        k = 0
+        while k < min(len(path), len(chain)) and path[k][0] == chain[k][0]:
+            k += 1
+        del path[k:]
+        F = path[-1][1] if path else self.top
+        for line, a in chain[k:]:
+            F = self._op(F, a)
+            path.append((line, F))
+        return int(F[0])  # row 0 of the orbit is the base point itself
 
 
 @lru_cache(maxsize=32)
@@ -259,6 +313,28 @@ def backstable_approx(w: Permutation, p: int, point: EvaluationPoint,
     return table.value(w2)
 
 
+def gvex_checker(w: Permutation, p: int = 0, n: int | None = None,
+                 method: str = "auto") -> Callable[[EvaluationPoint], bool]:
+    """`gvex_check` for one w at many points: w's shape, flag and support
+    are read once, and the returned function compares at one point."""
+    csf = code_shape_flag(w)  # raises ValueError unless w is vexillary
+    shape, flag = SkewShape(csf.shape), csf.flag
+    w2 = w.iota(p)
+    if w2.images and w2.lo < 1:
+        raise ValueError(f"p={p} too small for support of w")
+    nn = n if n is not None else max(w2.window_hi if w2.images else 1, 2)
+
+    def check(point: EvaluationPoint) -> bool:
+        if point.x_support and min(point.x_support) < 1 - p:
+            raise ValueError(f"x-support extends below 1-p = {1 - p}")
+        if point.x_support and max(point.x_support) > nn - p:
+            raise ValueError(f"x-support extends above n-p = {nn - p}")
+        lhs = backstable_approx(w, p, point, n=n, method=method)
+        return lhs == g_eval(shape, flag, "any", point)
+
+    return check
+
+
 def gvex_check(w: Permutation, point: EvaluationPoint, p: int = 0,
                n: int | None = None, method: str = "auto") -> bool:
     """Compare the backstable approximation of 𝔊_w against the flagged
@@ -266,17 +342,4 @@ def gvex_check(w: Permutation, point: EvaluationPoint, p: int = 0,
 
     Heuristic at finite p: the point's x-support must lie inside the index
     range the shifted polynomial can see, [1-p, n-p]."""
-    if not w.is_vexillary():
-        raise ValueError(f"permutation {w} is not vexillary")
-    csf = code_shape_flag(w)
-    lam, phi = csf.shape, csf.flag
-    w2 = w.iota(p)
-    if w2.images and w2.lo < 1:
-        raise ValueError(f"p={p} too small for support of w")
-    nn = n if n is not None else max(w2.window_hi if w2.images else 1, 2)
-    if point.x_support and min(point.x_support) < 1 - p:
-        raise ValueError(f"x-support extends below 1-p = {1 - p}")
-    if point.x_support and max(point.x_support) > nn - p:
-        raise ValueError(f"x-support extends above n-p = {nn - p}")
-    lhs = backstable_approx(w, p, point, n=n, method=method)
-    return lhs == g_eval(SkewShape(lam), phi, "any", point)
+    return gvex_checker(w, p, n, method)(point)

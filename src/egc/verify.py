@@ -14,10 +14,11 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import permutations as iter_permutations
 
-from .grothendieck import ORBIT_PRIME, g_eval, grothendieck_poly, gvex_check
+from .grothendieck import (ORBIT_PRIME, g_eval, grothendieck_poly,
+                           gvex_checker)
 from .perms import Permutation, from_partition
 from .pipeline import (_disconnected_inners, chi_flags, j_coefficient,
                        j_numeric, j_plus_numeric, pi_algorithm)
@@ -245,12 +246,16 @@ GVEX_P0 = 4  # shifts support [-2,3] into [2,7]; x is read on indices -3..3
 GVEX_N = 7
 
 
-def gvex_points(prime: int, seed: int, trials: int) -> list[EvaluationPoint]:
+@lru_cache(maxsize=4)
+def gvex_points(prime: int, seed: int, trials: int
+                ) -> tuple[EvaluationPoint, ...]:
     """The shared point set of the backstable sweep: distinct nonzero x on
-    the full visible index range, y supported on {1, 2}."""
+    the full visible index range, y supported on {1, 2}.  Built once per
+    process for each (prime, seed, trials)."""
     rng = _stream(seed, "gvex:points")
-    return [sample_point(prime, rng, range(1 - GVEX_P0, GVEX_N - GVEX_P0 + 1),
-                         (1, 2), distinct_x=True) for _ in range(trials)]
+    return tuple(sample_point(prime, rng,
+                              range(1 - GVEX_P0, GVEX_N - GVEX_P0 + 1),
+                              (1, 2), distinct_x=True) for _ in range(trials))
 
 
 def _gvex_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
@@ -258,17 +263,21 @@ def _gvex_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
     w = Permutation.from_one_line(images, base) if images \
         else Permutation.identity()
     key = f"w={','.join(map(str, images))}@{base}" if images else "w=id"
-    checks, failures = 0, []
     # the orbit engine multiplies two field values in int64
     prime = cfg.prime if cfg.prime ** 2 < 2**63 else ORBIT_PRIME
-    for pt in gvex_points(prime, cfg.seed, cfg.trials):
-        checks += 1
+    points = gvex_points(prime, cfg.seed, cfg.trials)
+    try:
+        check = gvex_checker(w, p=GVEX_P0, n=GVEX_N, method="orbit")
+    except ValueError as exc:
+        return len(points), [f"{key}: {exc}"] * len(points)
+    failures = []
+    for pt in points:
         try:
-            if not gvex_check(w, pt, p=GVEX_P0, n=GVEX_N, method="orbit"):
+            if not check(pt):
                 failures.append(f"{key}: backstable and tableau values differ")
         except Exception as exc:  # report, keep sweeping
             failures.append(f"{key}: {exc}")
-    return checks, failures
+    return len(points), failures
 
 
 def suite_gvex(cfg: RunConfig) -> dict:
@@ -351,11 +360,20 @@ def suite_theorem(cfg: RunConfig) -> dict:
 # Suite: omega — conjugation-negation on tableaux and its weight identity.
 
 
+def _omega_window(cfg: RunConfig) -> tuple[int, int]:
+    """The run window clipped to [-2, 2], where the omega suite enumerates."""
+    lo, hi = max(cfg.window[0], -2), min(cfg.window[1], 2)
+    if lo > hi:
+        raise ValueError(f"the omega suite needs a window meeting [-2, 2], "
+                         f"got {cfg.window[0]}:{cfg.window[1]}")
+    return lo, hi
+
+
 def _omega_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
     lam = Partition(inst)
     key = f"lam={lam.parts}"
     checks, failures = 0, []
-    window = (max(cfg.window[0], -2), min(cfg.window[1], 2))
+    window = _omega_window(cfg)
     rng = _stream(cfg.seed, f"omega:{key}")
     pts = [sample_point(cfg.prime, rng, range(window[0], window[1] + 1),
                         range(window[0] - len(lam), window[1] + lam.part(1)))
@@ -509,6 +527,8 @@ def verify_identities(suite: str, **options) -> dict:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {SUITES + ('all',)}")
     cfg = RunConfig(**options)
+    if suite in ("omega", "all"):
+        _omega_window(cfg)
     # looked up at call time, so a wrapper put on suite_<name> sees the run
     if suite == "all":
         reports = [globals()[f"suite_{s}"](cfg) for s in SUITES]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egc import grothendieck
 from egc.grothendieck import (ORBIT_PRIME, OrbitTable, backstable_approx,
                               default_window, g_eval, grothendieck_poly,
                               gvex_check)
@@ -117,18 +118,56 @@ def test_grothendieck_poly_word_independence():
         grothendieck_poly(w, 3, pt, word=(1, 1, 2))
 
 
-def test_orbit_table_matches_poly():
-    rng = random.Random(10)
-    n = 4
-    xs = tuple(rng.randrange(1, ORBIT_PRIME) for _ in range(n))
-    ys = tuple(rng.randrange(ORBIT_PRIME) for _ in range(n - 1))
-    beta = rng.randrange(ORBIT_PRIME)
-    table = OrbitTable(xs, ys, beta, ORBIT_PRIME)
-    pt = EvaluationPoint.make(ORBIT_PRIME, beta, {},
+def _orbit_instance(n, prime, seed):
+    rng = random.Random(seed)
+    xs = tuple(rng.sample(range(1, prime), n))
+    ys = tuple(rng.randrange(prime) for _ in range(n - 1))
+    return xs, ys, rng.randrange(prime)
+
+
+def _poly_values(perms, xs, ys, beta, prime):
+    n = len(xs)
+    pt = EvaluationPoint.make(prime, beta, {},
                               {j + 1: ys[j] for j in range(n - 1)})
-    for images in itertools.permutations(range(1, n + 1)):
+    return {images: grothendieck_poly(Permutation.from_one_line(images, 1),
+                                      n, pt).evaluate(xs)
+            for images in perms}
+
+
+def test_orbit_table_matches_poly():
+    n = 4
+    xs, ys, beta = _orbit_instance(n, ORBIT_PRIME, 10)
+    perms = list(itertools.permutations(range(1, n + 1)))
+    expect = _poly_values(perms, xs, ys, beta, ORBIT_PRIME)
+    table = OrbitTable(xs, ys, beta, ORBIT_PRIME)
+    for images in perms + perms[::-1]:  # the path grows, then unwinds
+        assert table.value(Permutation.from_one_line(images, 1)) == \
+            expect[images]
+
+
+def test_orbit_path_reuse_matches_fresh_tables():
+    n = 5
+    xs, ys, beta = _orbit_instance(n, ORBIT_PRIME, 16)
+    perms = list(itertools.permutations(range(1, n + 1)))
+    random.Random(17).shuffle(perms)
+    table = OrbitTable(xs, ys, beta, ORBIT_PRIME)
+    for images in perms:
         w = Permutation.from_one_line(images, 1)
-        assert grothendieck_poly(w, n, pt).evaluate(xs) == table.value(w)
+        assert table.value(w) == OrbitTable(xs, ys, beta, ORBIT_PRIME).value(w)
+        assert len(table._path) <= n * (n - 1) // 2
+
+
+def test_orbit_table_large_prime():
+    # residues above 2^31 must survive storage: p^2 < 2^63 < p*2^32
+    prime, n = 3037000493, 6
+    xs, ys, beta = _orbit_instance(n, prime, 18)
+    perms = random.Random(19).sample(
+        list(itertools.permutations(range(1, n + 1))), 24)
+    expect = _poly_values(perms, xs, ys, beta, prime)
+    table = OrbitTable(xs, ys, beta, prime)
+    for images in perms:
+        assert table.value(Permutation.from_one_line(images, 1)) == \
+            expect[images]
 
 
 def test_orbit_table_guards():
@@ -136,6 +175,19 @@ def test_orbit_table_guards():
         OrbitTable((1, 1, 2), (3, 4), 1, ORBIT_PRIME)
     with pytest.raises(ValueError):
         OrbitTable((1, 2), (3,), 1, DEFAULT_PRIME)  # overflows int64
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_orbit_table_size_bound(monkeypatch, n):
+    def no_index(n):
+        raise AssertionError("orbit index built past the size bound")
+    monkeypatch.setattr(grothendieck, "_orbit_index", no_index)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        OrbitTable(tuple(range(1, n + 1)), tuple(range(n - 1)), 1,
+                   ORBIT_PRIME)
+    pt = EvaluationPoint.make(ORBIT_PRIME, 1, {}, {})
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        backstable_approx(Permutation.s(1), 0, pt, n=n)
 
 
 def test_backstable_shift():

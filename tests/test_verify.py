@@ -33,15 +33,19 @@ def test_run_config_validation():
             RunConfig(max_size=max_size)
 
 
-@pytest.mark.parametrize("options", [
-    {"max_size": 0}, {"flag_range": (3, -2)}, {"window": (3, -3)},
-    {"trials": -1}, {"prime": 91}], ids=lambda o: next(iter(o)))
-def test_invalid_options_rejected_before_any_instance(monkeypatch, options):
+@pytest.mark.parametrize("options,suites", [
+    *[pytest.param({k: v}, SUITES + ("all",), id=k) for k, v in [
+        ("max_size", 0), ("flag_range", (3, -2)), ("window", (3, -3)),
+        ("trials", -1), ("prime", 91)]],
+    # the omega suite enumerates inside [-2, 2] only
+    pytest.param({"window": (3, 3)}, ("omega", "all"), id="omega_window")])
+def test_invalid_options_rejected_before_any_instance(monkeypatch, options,
+                                                       suites):
     def no_run(cfg):
         raise AssertionError("a suite ran on invalid options")
     for s in SUITES:
         monkeypatch.setattr(verify, f"suite_{s}", no_run)
-    for suite in SUITES + ("all",):
+    for suite in suites:
         with pytest.raises(ValueError):
             verify_identities(suite, **options)
 
