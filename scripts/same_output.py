@@ -8,6 +8,9 @@ tree, and prints every command whose stdout or exit code differs:
 - `egc j --format json` on each rung of the benchmark ladder
   (`bench/workloads.LADDER`, read from the working tree);
 - `egc verify --suite all --max-size 3 --seed 0 --format json`;
+- `egc verify --suite decompose --trials 0 --max-size 4 --flag-range -2:3
+  --window -2:3 --format json`, the exhaustive split/merge bijection on
+  the inputs of the `verify_exhaustive` benchmark workload;
 - `egc tableaux`, with an explicit window and with the default one;
 - `egc perm --oneline`.
 
@@ -33,6 +36,8 @@ ROOT = Path(__file__).resolve().parent.parent
 OTHERS = [
     ["verify", "--suite", "all", "--max-size", "3", "--seed", "0",
      "--format", "json"],
+    ["verify", "--suite", "decompose", "--trials", "0", "--max-size", "4",
+     "--flag-range", "-2:3", "--window", "-2:3", "--format", "json"],
     ["tableaux", "--lambda", "1,1", "--mu", "1", "--flag", "1,2", "--sign",
      "positive", "--window", "1:2"],
     ["tableaux", "--lambda", "2,1"],

@@ -2,10 +2,11 @@
 functions, divided-difference Grothendieck polynomials, and the backstable
 comparison checks.
 
-g_eval has two independent paths: the transfer-matrix DP of
+g_eval has two independent paths: `field_sum`, the transfer-matrix DP of
 tableaux.tableau_sum over F_p (the default; exponentially faster on wide
 shapes), which the symbolic coefficient pipeline shares, and direct tableau
-enumeration (method="enum"), the oracle that checks it in the test suite.
+enumeration (method="enum"), the oracle that checks it in the test suite
+and, through the omega suite, in `egc verify`.
 """
 
 from __future__ import annotations
@@ -94,6 +95,12 @@ def g_eval(shape: SkewShape, flag: Flag | None, sign: str,
     spec = replace(spec, window=window)
     if method == "enum":
         return _enum_eval(spec, point)
+    return field_sum(spec, point)
+
+
+def field_sum(spec: EnumSpec, point: EvaluationPoint) -> int:
+    """The tableau-weight sum over spec at the point, by the F_p transfer
+    DP; spec's window is taken as given."""
     # over F_p: f = x_m (-) y_{m+d} for a cell's largest value m, beta*f below
     p, beta = point.prime, point.beta
     f = lru_cache(maxsize=None)(
@@ -278,8 +285,12 @@ class OrbitTable:
         return int(F[0])  # row 0 of the orbit is the base point itself
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=8)
 def _orbit_table(xs, ys, beta, prime):
+    """The orbit table of one point, kept for the next w at it: the gvex
+    sweep asks for 3 points and acceptance criterion 8 for 5.  At n = 8
+    the cache holds at most 8 x 9.5 MB of tables plus the 2.6 MB they
+    share (see OrbitTable)."""
     return OrbitTable(xs, ys, beta, prime)
 
 

@@ -13,6 +13,21 @@ from .ring import EvaluationPoint
 from .shapes import Flag, Partition, SkewShape, skew_props
 
 
+@lru_cache(maxsize=1024)
+def _layout(outer: tuple[int, ...], inner: tuple[int, ...]
+            ) -> tuple[tuple[int, int, int], ...]:
+    """Per row of the skew shape outer/inner: its first column, its width,
+    and `up`, the number of its leading cells with no cell above.  The cell
+    at position k >= up of a row lies below the cell at position k - up of
+    the row before.  Keyed on part tuples, which hash in C."""
+    out, above = [], outer[0] if outer else 0  # row 1: up = its width
+    for r, length in enumerate(outer):
+        start = inner[r] if r < len(inner) else 0
+        out.append((start + 1, length - start, above - start))
+        above = start
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class _Tableau:
     """A filling of a skew shape by nonempty sorted sets of integers.
@@ -24,30 +39,32 @@ class _Tableau:
     rows: tuple[tuple[tuple[int, ...], ...], ...]  # rows[r-1][k] = k-th cell of row r
 
     def __post_init__(self):
-        rows = tuple(tuple(tuple(cell) for cell in row) for row in self.rows)
+        rows = tuple([tuple(map(tuple, row)) for row in self.rows])
         object.__setattr__(self, "rows", rows)
-        if len(rows) != len(self.shape.outer):
+        layout = _layout(self.shape.outer.parts, self.shape.inner.parts)
+        if len(rows) != len(layout):
             raise ValueError("row count does not match shape")
-        above = range(0)
-        for r, row in enumerate(rows, start=1):
-            cols = self.shape.row_cols(r)
-            if len(row) != len(cols):
+        row_ok, col_ok = self._row_ok, self._col_ok
+        above = ()
+        for r, (row, (first, width, up)) in enumerate(zip(rows, layout),
+                                                      start=1):
+            if len(row) != width:
                 raise ValueError(f"cell count mismatch in row {r}")
             # each cell is compared with its left and upper neighbours,
             # which are already known to be nonempty sorted sets
             for k, cell in enumerate(row):
-                c = cols.start + k
                 if not cell:
-                    raise ValueError(f"empty entry at {(r, c)}")
-                if tuple(sorted(set(cell))) != cell:
-                    raise ValueError(f"entry at {(r, c)} not a sorted set: "
-                                     f"{cell}")
-                if k and not self._row_ok(row[k - 1], cell):
-                    raise ValueError(f"row order violated at {(r, c - 1)}")
-                if c in above and \
-                        not self._col_ok(rows[r - 2][c - above.start], cell):
-                    raise ValueError(f"column order violated at {(r - 1, c)}")
-            above = cols
+                    raise ValueError(f"empty entry at {(r, first + k)}")
+                if len(cell) > 1 and tuple(sorted(set(cell))) != cell:
+                    raise ValueError(f"entry at {(r, first + k)} not a "
+                                     f"sorted set: {cell}")
+                if k and not row_ok(row[k - 1], cell):
+                    raise ValueError(f"row order violated at "
+                                     f"{(r, first + k - 1)}")
+                if k >= up and not col_ok(above[k - up], cell):
+                    raise ValueError(f"column order violated at "
+                                     f"{(r - 1, first + k)}")
+            above = row
 
     def entry(self, r: int, c: int) -> tuple[int, ...]:
         cols = self.shape.row_cols(r)
@@ -224,33 +241,51 @@ def tableau_sum(spec: EnumSpec, semiring: Semiring, top, extra):
     return reduce(add, states.values(), semiring.zero)
 
 
+def _plan(spec: EnumSpec):
+    """The cells of spec's shape in row-major order, each as its value
+    bounds before neighbour constraints and the flat indices of its left
+    and upper neighbours (-1 when absent); and each row's slice of that
+    order."""
+    plan, cuts, above = [], [], 0
+    shape = spec.shape
+    for r, (_, width, up) in enumerate(
+            _layout(shape.outer.parts, shape.inner.parts), start=1):
+        start = len(plan)
+        if width:
+            lo, hi = cell_bounds(spec, r)
+        for k in range(width):
+            plan.append((lo, hi, start + k - 1 if k else -1,
+                         above + k - up if k >= up else -1))
+        cuts.append((start, start + width))
+        above = start
+    return plan, cuts
+
+
 def enumerate_tableaux(spec: EnumSpec):
     """All admissible fillings, row-major, lexicographic on entry sets."""
     shape = spec.shape
-    nrows = len(shape.outer)
-    cells = shape.cells()
-    if not cells:
-        yield _built(shape, tuple(() for _ in range(nrows)))
+    plan, cuts = _plan(spec)
+    last = len(plan) - 1
+    if last < 0:
+        yield _built(shape, tuple(() for _ in cuts))
         return
+    grid: list = [()] * len(plan)
 
-    def fill(idx: int, grid: dict):
-        if idx == len(cells):
-            rows = tuple(tuple(grid[(r, c)] for c in shape.row_cols(r))
-                         for r in range(1, nrows + 1))
-            yield _built(shape, rows)
-            return
-        r, c = cells[idx]
-        lo, hi = cell_bounds(spec, r)
-        if (r, c - 1) in grid:
-            lo = max(lo, grid[(r, c - 1)][-1])
-        if (r - 1, c) in grid:
-            lo = max(lo, grid[(r - 1, c)][-1] + 1)
+    def fill(i: int):
+        lo, hi, left, up = plan[i]
+        if left >= 0 and grid[left][-1] > lo:
+            lo = grid[left][-1]
+        if up >= 0 and grid[up][-1] >= lo:
+            lo = grid[up][-1] + 1
         for cell in _subsets(lo, hi):
-            grid[(r, c)] = cell
-            yield from fill(idx + 1, grid)
-        grid.pop((r, c), None)
+            grid[i] = cell
+            if i == last:
+                yield _built(shape, tuple([tuple(grid[a:b])
+                                           for a, b in cuts]))
+            else:
+                yield from fill(i + 1)
 
-    yield from fill(0, {})
+    yield from fill(0)
 
 
 def admits(spec: EnumSpec, t: SetValuedTableau) -> bool:
@@ -293,60 +328,80 @@ def r_weight_eval(t: RowStrictDecreasingTableau, point: EvaluationPoint) -> int:
 def split(t: SetValuedTableau) -> tuple[SetValuedTableau, SetValuedTableau]:
     """Separate a straight-shape tableau into its nonpositive part (straight
     shape nu) and positive part (skew shape lambda/mu), with mu <= nu."""
-    if len(t.shape.inner):
+    if t.shape.inner.parts:
         raise ValueError("split requires a straight shape")
-    lam = t.shape.outer
-    minus_rows, plus_rows = [], []
+    minus_rows, plus_rows, nu_rows, mu_rows = [], [], [], []
     for row in t.rows:
-        cuts = [bisect_right(cell, 0) for cell in row]  # cells are sorted
-        minus_rows.append(tuple(cell[:k] for cell, k in zip(row, cuts) if k))
-        plus_rows.append(tuple(cell[k:] for cell, k in zip(row, cuts)
-                               if k < len(cell)))
+        # the row weakly increases: mu_r cells <= 0, then at most one cell
+        # across 0, which alone is cut, then cells > 0 from nu_r on
+        nu_r = mu_r = 0
+        for cell in row:
+            if cell[0] > 0:
+                break
+            nu_r += 1
+            if cell[-1] <= 0:
+                mu_r += 1
+        if nu_r > mu_r:
+            cell = row[mu_r]
+            k = bisect_right(cell, 0)
+            minus_rows.append(row[:mu_r] + (cell[:k],))
+            plus_rows.append((cell[k:],) + row[nu_r:])
+        else:
+            minus_rows.append(row[:mu_r])
+            plus_rows.append(row[mu_r:])
+        nu_rows.append(nu_r)
+        mu_rows.append(mu_r)
     minus_shape, plus_shape, disconnected = _split_shapes(
-        lam, tuple(map(len, minus_rows)),
-        tuple(len(row) - len(plus) for row, plus in zip(t.rows, plus_rows)))
+        t.shape.outer.parts, tuple(nu_rows), tuple(mu_rows))
     if not disconnected:
         raise RuntimeError(f"split of {t.to_text()!r}: nu/mu is not "
                            "disconnected")
     # the parts of semistandard cells on either side of 0 stay semistandard
-    tminus = _built(minus_shape, tuple(minus_rows[:len(minus_shape.outer)]))
+    tminus = _built(minus_shape,
+                    tuple(minus_rows[:len(minus_shape.outer.parts)]))
     return tminus, _built(plus_shape, tuple(plus_rows))
 
 
 @lru_cache(maxsize=4096)
-def _split_shapes(lam: Partition, nu_rows: tuple[int, ...],
+def _split_shapes(lam: tuple[int, ...], nu_rows: tuple[int, ...],
                   mu_rows: tuple[int, ...]) -> tuple[SkewShape, SkewShape, bool]:
     """The shapes nu and lambda/mu of split's parts, and whether nu/mu is
-    disconnected."""
+    disconnected.  Keyed on part tuples, which hash in C."""
     nu, mu = Partition(nu_rows), Partition(mu_rows)
-    return (SkewShape(nu), SkewShape(lam, mu),
+    return (SkewShape(nu), SkewShape(Partition(lam), mu),
             skew_props(SkewShape(nu, mu)).is_disconnected)
 
 
 def merge(tminus: SetValuedTableau, tplus: SetValuedTableau) -> SetValuedTableau:
-    if len(tminus.shape.inner):
+    if tminus.shape.inner.parts:
         raise ValueError("nonpositive part must have straight shape")
-    if any(cell[-1] > 0 for row in tminus.rows for cell in row):
-        raise ValueError("nonpositive part has a positive value")
-    if any(cell[0] < 1 for row in tplus.rows for cell in row):
-        raise ValueError("positive part has a nonpositive value")
-    nu, mu = tminus.shape.outer, tplus.shape.inner
-    shape = _merge_shape(tplus.shape.outer, nu, mu)
+    for row in tminus.rows:
+        for cell in row:
+            if cell[-1] > 0:
+                raise ValueError("nonpositive part has a positive value")
+    for row in tplus.rows:
+        for cell in row:
+            if cell[0] < 1:
+                raise ValueError("positive part has a nonpositive value")
+    nu, mu = tminus.shape.outer.parts, tplus.shape.inner.parts
+    shape = _merge_shape(tplus.shape.outer.parts, nu, mu)
     # row r: cells 1..mu_r from minus, mu_r+1..nu_r join both, then plus;
     # values <= 0 come first, and the constructor checks the result
     rows = []
-    for r, plus in enumerate(tplus.rows, start=1):
-        minus = tminus.rows[r - 1] if r <= len(nu) else ()
-        m = mu.part(r)
-        rows.append(minus[:m] + tuple(a + b for a, b in zip(minus[m:], plus))
+    for r, plus in enumerate(tplus.rows):
+        minus = tminus.rows[r] if r < len(nu) else ()
+        m = mu[r] if r < len(mu) else 0
+        rows.append(minus[:m] + tuple(map(operator.add, minus[m:], plus))
                     + plus[len(minus) - m:])
     return SetValuedTableau(shape, tuple(rows))
 
 
 @lru_cache(maxsize=4096)
-def _merge_shape(lam: Partition, nu: Partition, mu: Partition) -> SkewShape:
+def _merge_shape(lam: tuple[int, ...], nu: tuple[int, ...],
+                 mu: tuple[int, ...]) -> SkewShape:
     """The shape lambda of merge's result, after checking mu <= nu <= lambda
-    with nu/mu disconnected."""
+    with nu/mu disconnected.  Keyed on part tuples."""
+    lam, nu, mu = Partition(lam), Partition(nu), Partition(mu)
     if not nu.contains(mu):
         raise ValueError("inner shape of the positive part not contained in nu")
     if not lam.contains(nu):

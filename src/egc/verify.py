@@ -1,7 +1,8 @@
 """Randomized and exhaustive verification suites for the identities behind
 the coefficient pipeline: the split/merge decomposition, the value-shifting
 permutation identity, backstable comparisons, the structural theorem on
-coefficients, the omega_1 weight identity, and the operator algebra.
+coefficients, the omega_1 weight identity (with the F_p transfer DP
+checked against enumeration), and the operator algebra.
 
 Each suite draws its randomness from a named stream derived from one seed,
 walks its instances in a canonical order, and reports failures as strings
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import permutations as iter_permutations
 
-from .grothendieck import (ORBIT_PRIME, g_eval, grothendieck_poly,
+from .grothendieck import (ORBIT_PRIME, field_sum, g_eval, grothendieck_poly,
                            gvex_checker)
 from .perms import Permutation, from_partition
 from .pipeline import (_disconnected_inners, chi_flags, j_coefficient,
@@ -357,7 +358,8 @@ def suite_theorem(cfg: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Suite: omega — conjugation-negation on tableaux and its weight identity.
+# Suite: omega — conjugation-negation on tableaux and its weight identity,
+# and the transfer DP against enumeration at the omega_1 points.
 
 
 def _omega_window(cfg: RunConfig) -> tuple[int, int]:
@@ -379,16 +381,26 @@ def _omega_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
                         range(window[0] - len(lam), window[1] + lam.part(1)))
            for _ in range(cfg.trials)]
     pairs = [(pt, pt.omega1()) for pt in pts]
-    for t in enumerate_tableaux(EnumSpec(SkewShape(lam), None, "any", window)):
+    sums = [0] * len(pairs)  # per point: the enumerated weights at pt.omega1()
+    spec = EnumSpec(SkewShape(lam), None, "any", window)
+    for t in enumerate_tableaux(spec):
         u = omega1_tableau(t)
         checks += 1
         if omega1_inverse(u).rows != t.rows:
             failures.append(f"{key}: roundtrip failed for {t.to_text()!r}")
-        for pt, pt_omega in pairs:
+        for k, (pt, pt_omega) in enumerate(pairs):
             checks += 1
-            if r_weight_eval(u, pt) != weight_eval(t, pt_omega):
+            w = weight_eval(t, pt_omega)
+            sums[k] = (sums[k] + w) % cfg.prime
+            if r_weight_eval(u, pt) != w:
                 failures.append(f"{key}: weight identity failed for "
                                 f"{t.to_text()!r}")
+    # the same sums by the F_p transfer DP: enumeration is its oracle
+    for k, ((_, pt_omega), total) in enumerate(zip(pairs, sums)):
+        checks += 1
+        if field_sum(spec, pt_omega) != total:
+            failures.append(f"{key}: DP and enumeration sums differ at "
+                            f"trial {k}")
     return checks, failures
 
 

@@ -190,6 +190,15 @@ def test_orbit_table_size_bound(monkeypatch, n):
         backstable_approx(Permutation.s(1), 0, pt, n=n)
 
 
+def test_orbit_table_cache_bound():
+    # nine distinct points on n = 3 coordinates: the cache keeps eight
+    grothendieck._orbit_table.cache_clear()
+    for k in range(9):
+        grothendieck._orbit_table((1, 2, 3 + k), (4, 5), 1, ORBIT_PRIME)
+    info = grothendieck._orbit_table.cache_info()
+    assert info.misses == 9 and info.currsize <= 8
+
+
 def test_backstable_shift():
     # w = s_0 at p=1 reads x_0 (-) y_0
     rng = random.Random(12)

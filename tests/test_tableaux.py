@@ -1,6 +1,8 @@
 """Set-valued tableaux: enumeration, weights, split/merge, omega_1."""
 
 import random
+import re
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from egc.ring import EvaluationPoint, ominus, sample_point
 from egc.shapes import Flag, Partition, SkewShape, subpartitions
 from egc.tableaux import (EnumSpec, RowStrictDecreasingTableau,
-                          SetValuedTableau, _built, admits,
+                          SetValuedTableau, _built, _subsets, admits,
                           enumerate_tableaux, merge, omega1_inverse,
                           omega1_tableau, r_weight_eval, split, weight_eval)
 from egc.verify import _count, partitions_up_to
@@ -168,6 +170,55 @@ def test_validation_common_checks(cls):
         cls(sh, (((2, 1), (3,)), ((4,),)))  # unsorted entry
 
 
+# rows start in columns 3, 2 and 1; only (1,3) lies above another cell
+SKEW_331 = SkewShape(Partition((3, 3, 1)), Partition((2, 1)))
+SKEW_331_BAD = [
+    (SetValuedTableau, (((1,),), ((1,), (2,))),
+     "row count does not match shape"),
+    (SetValuedTableau, (((1,),), ((2,),), ((1,),)),
+     "cell count mismatch in row 2"),
+    (SetValuedTableau, (((1,),), ((1,), ()), ((1,),)),
+     "empty entry at (2, 3)"),
+    (SetValuedTableau, (((1,),), ((2, 1), (2,)), ((1,),)),
+     "entry at (2, 2) not a sorted set: (2, 1)"),
+    (SetValuedTableau, (((1,),), ((1,), (2, 2)), ((1,),)),
+     "entry at (2, 3) not a sorted set: (2, 2)"),
+    (SetValuedTableau, (((1,),), ((3,), (2,)), ((1,),)),
+     "row order violated at (2, 2)"),
+    (SetValuedTableau, (((2,),), ((1,), (2,)), ((1,),)),
+     "column order violated at (1, 3)"),
+    (RowStrictDecreasingTableau, (((2,),), ((3,), (1,))),
+     "row count does not match shape"),
+    (RowStrictDecreasingTableau, (((2,),), ((3,),), ((5,),)),
+     "cell count mismatch in row 2"),
+    (RowStrictDecreasingTableau, (((2,),), ((3,), ()), ((5,),)),
+     "empty entry at (2, 3)"),
+    (RowStrictDecreasingTableau, (((2,),), ((3,), (2, 1)), ((5,),)),
+     "entry at (2, 3) not a sorted set: (2, 1)"),
+    (RowStrictDecreasingTableau, (((2,),), ((3,), (1, 1)), ((5,),)),
+     "entry at (2, 3) not a sorted set: (1, 1)"),
+    (RowStrictDecreasingTableau, (((2,),), ((1,), (1,)), ((5,),)),
+     "row order violated at (2, 2)"),
+    (RowStrictDecreasingTableau, (((0,),), ((3,), (1,)), ((5,),)),
+     "column order violated at (1, 3)"),
+]
+
+
+@pytest.mark.parametrize("cls, rows, message", SKEW_331_BAD)
+def test_validation_messages_on_staggered_rows(cls, rows, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls(SKEW_331, rows)
+
+
+def test_validation_accepts_staggered_rows():
+    # (2,2) has no cell above; (2,3) lies below (1,3)
+    SetValuedTableau(SKEW_331, (((1,),), ((1,), (2,)), ((1,),)))
+    SetValuedTableau(SKEW_331, (((1,),), ((0, 1), (2, 3)), ((1, 4),)))
+    RowStrictDecreasingTableau(SKEW_331, (((2,),), ((3,), (1,)), ((5,),)))
+    RowStrictDecreasingTableau(SKEW_331, (((2,),), ((3, 4), (-1, 2)),
+                                          ((-1,),)))
+
+
 def test_row_strict_decreasing_validation():
     sh = SkewShape(Partition((2, 1)))
     RowStrictDecreasingTableau(sh, (((2,), (0, 1)), ((2,),)))
@@ -236,6 +287,37 @@ def test_count_instance_matches_enumeration(shape, bounds, flagged, ends):
     for sign in ("positive", "nonpositive", "any"):
         spec = EnumSpec(shape, flag, sign, (min(ends), max(ends)))
         assert _count(spec) == len(list(enumerate_tableaux(spec)))
+
+
+@PROPERTY
+@given(shape=st.sampled_from(SKEW_4),
+       bounds=st.lists(st.integers(-1, 2), min_size=6, max_size=6),
+       flagged=st.booleans(),
+       sign=st.sampled_from(["positive", "nonpositive", "any"]),
+       lo=st.integers(-2, 1), width=st.integers(1, 3))
+def test_enumeration_matches_filtered_assignments(shape, bounds, flagged,
+                                                  sign, lo, width):
+    """Every assignment of value sets in the window to the cells that the
+    public constructor accepts and admits admits, sorted row-major, is
+    what enumerate_tableaux lists, in that order."""
+    flag = Flag(tuple(sorted(bounds))[:len(shape.outer)]) if flagged else None
+    spec = EnumSpec(shape, flag, sign, (lo, lo + width - 1))
+    widths = [len(shape.row_cols(r)) for r in range(1, len(shape.outer) + 1)]
+    expected = []
+    for flat in product(_subsets(lo, lo + width - 1),
+                        repeat=len(shape.cells())):
+        rows, k = [], 0
+        for n in widths:
+            rows.append(flat[k:k + n])
+            k += n
+        try:
+            t = SetValuedTableau(shape, tuple(rows))
+        except ValueError:
+            continue
+        if admits(spec, t):
+            expected.append(t)
+    expected.sort(key=lambda t: [cell for row in t.rows for cell in row])
+    assert list(enumerate_tableaux(spec)) == expected
 
 
 def test_count_instance_empty_shape():
