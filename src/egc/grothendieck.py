@@ -326,8 +326,13 @@ def backstable_approx(w: Permutation, p: int, point: EvaluationPoint,
 
 def gvex_checker(w: Permutation, p: int = 0, n: int | None = None,
                  method: str = "auto") -> Callable[[EvaluationPoint], bool]:
-    """`gvex_check` for one w at many points: w's shape, flag and support
-    are read once, and the returned function compares at one point."""
+    """A check of the backstable approximation of 𝔊_w against the flagged
+    tableau sum for (shape(w), flag(w)) under the same specialization.
+    w's shape, flag and support are read once, and the returned function
+    compares at one point.
+
+    Heuristic at finite p: the point's x-support must lie inside the index
+    range the shifted polynomial can see, [1-p, n-p]."""
     csf = code_shape_flag(w)  # raises ValueError unless w is vexillary
     shape, flag = SkewShape(csf.shape), csf.flag
     w2 = w.iota(p)
@@ -345,12 +350,3 @@ def gvex_checker(w: Permutation, p: int = 0, n: int | None = None,
 
     return check
 
-
-def gvex_check(w: Permutation, point: EvaluationPoint, p: int = 0,
-               n: int | None = None, method: str = "auto") -> bool:
-    """Compare the backstable approximation of 𝔊_w against the flagged
-    tableau sum for (shape(w), flag(w)) under the same specialization.
-
-    Heuristic at finite p: the point's x-support must lie inside the index
-    range the shifted polynomial can see, [1-p, n-p]."""
-    return gvex_checker(w, p, n, method)(point)

@@ -8,10 +8,8 @@ containing the support, so structural equality is semantic equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations as iter_combinations
-from itertools import permutations as iter_permutations
 
-from .shapes import Flag, Partition, flags_equivalent, is_compatible
+from .shapes import Flag, Partition
 
 
 @dataclass(frozen=True)
@@ -204,44 +202,3 @@ def from_partition(lam: Partition) -> Permutation:
         else:
             images.append(i - lamc.part(i))
     return Permutation(lo, tuple(images))
-
-
-def _from_code(lo: int, codes) -> Permutation:
-    """The permutation of the window starting at lo with the given code."""
-    avail = list(range(lo, lo + len(codes)))
-    return Permutation(lo, tuple(avail.pop(c) for c in codes))
-
-
-def from_shape_flag(lam: Partition, phi: Flag) -> Permutation:
-    """A vexillary permutation with the given shape and a flag equivalent to
-    phi, found by bounded search over a window derived from the inputs.
-
-    Candidates are enumerated through their codes: the parts of lam are
-    placed at some subset of window positions and the permutation is rebuilt
-    from the resulting code, so only O(C(n, len(lam))) cases arise instead
-    of n!.  The window grows upward as needed; an image can exceed max(phi)
-    by up to lam_1.
-    """
-    if not is_compatible(lam, phi):
-        raise ValueError(f"flag {phi} not compatible with {lam}")
-    if not len(lam):
-        return Permutation.identity()
-    lo = min(phi) - len(lam)
-    ell = len(lam)
-    for hi in range(max(phi) + 1, max(phi) + lam.part(1) + 1):
-        positions = range(lo, hi + 1)
-        for spots in iter_combinations(positions, ell):
-            for parts in set(iter_permutations(lam.parts)):
-                if any(c > hi - k for k, c in zip(spots, parts)):
-                    continue
-                codes = [0] * (hi - lo + 1)
-                for k, c in zip(spots, parts):
-                    codes[k - lo] = c
-                w = _from_code(lo, tuple(codes))
-                if not w.is_vexillary():
-                    continue
-                csf = code_shape_flag(w)
-                if csf.shape == lam and len(csf.flag) == len(phi) \
-                        and flags_equivalent(lam, csf.flag, phi):
-                    return w
-    raise ValueError(f"no vexillary permutation found for {lam}, {phi}")

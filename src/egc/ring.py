@@ -66,11 +66,6 @@ def ominus(a: int, b: int, beta: int, p: int) -> int:
     return (a - b) * field_inv(den, p) % p
 
 
-def oneg(b: int, beta: int, p: int) -> int:
-    """(-) b = 0 (-) b, the additive inverse for the deformed sum."""
-    return ominus(0, b, beta, p)
-
-
 def prec_key(i: int):
     """Sort key realizing the order 1 < 2 < ... < -2 < -1 < 0."""
     return (0, i) if i >= 1 else (1, i)

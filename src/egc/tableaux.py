@@ -195,7 +195,8 @@ COUNTS = Semiring(0, 1, operator.add, operator.mul)
 
 def tableau_sum(spec: EnumSpec, semiring: Semiring, top, extra):
     """Sum over the tableaux of spec of the product of their cell weights,
-    by a transfer DP whose state is the largest value of each cell.
+    by a transfer DP over the rows of _plan(spec), whose state is the
+    largest value of each cell that the next row reads.
 
     Over the sets a cell on diagonal d = c-r may hold, with values from lb
     (set by its row and its left and upper neighbours) up to its largest
@@ -212,51 +213,53 @@ def tableau_sum(spec: EnumSpec, semiring: Semiring, top, extra):
             run = mul(run, extra(m, d))
         return out
 
-    shape, nrows = spec.shape, len(spec.shape.outer)
-    # states: maxima of the cells over the next row (columns prev_cols) -> sum
-    states, prev_cols = {(): semiring.one}, []
-    for r in range(1, nrows + 1):
-        cols = shape.row_cols(r)
-        cols_next = shape.row_cols(r + 1) if r < nrows else range(0)
-        # an empty row reads no bounds: the flag may stop above it
-        lo, hi = cell_bounds(spec, r) if cols else (1, 0)
+    plan, cuts = _plan(spec)
+    # states: maxima of the previous row's cells base..keep-1 -> sum
+    states, base = {(): semiring.one}, 0
+    for start, end, keep in cuts:
+        if start == end:  # a row with no cells reads and keeps none
+            continue
         new_states: dict = {}
         for above, w0 in states.items():
-            above_of = dict(zip(prev_cols, above))
             # along the row: (bound from the left, maxima kept) -> sum
-            inner = {(lo, ()): w0}
-            for c in cols:
+            inner = {(plan[start][0], ()): w0}
+            for i in range(start, end):
+                _, hi, _, up, d = plan[i]
                 nxt: dict = {}
                 for (left, kept), wt in inner.items():
-                    lb = max(left, above_of[c] + 1) if c in above_of else left
-                    for m, w in enumerate(cell(lb, hi, c - r), start=lb):
-                        key = (m, kept + (m,) if c in cols_next else kept)
+                    lb = max(left, above[up - base] + 1) if up >= 0 else left
+                    for m, w in enumerate(cell(lb, hi, d), start=lb):
+                        key = (m, kept + (m,) if i < keep else kept)
                         v = mul(wt, w)
                         nxt[key] = add(nxt[key], v) if key in nxt else v
                 inner = nxt
             for (_, kept), wt in inner.items():
                 new_states[kept] = add(new_states[kept], wt) \
                     if kept in new_states else wt
-        states, prev_cols = new_states, [c for c in cols_next if c in cols]
+        states, base = new_states, start
     return reduce(add, states.values(), semiring.zero)
 
 
 def _plan(spec: EnumSpec):
     """The cells of spec's shape in row-major order, each as its value
-    bounds before neighbour constraints and the flat indices of its left
-    and upper neighbours (-1 when absent); and each row's slice of that
-    order."""
+    bounds before neighbour constraints, the flat indices of its left and
+    upper neighbours (-1 when absent) and its diagonal c-r; and each row's
+    slice start..end of that order with `keep`, the end of its leading
+    cells that the next row reads."""
     plan, cuts, above = [], [], 0
     shape = spec.shape
-    for r, (_, width, up) in enumerate(
-            _layout(shape.outer.parts, shape.inner.parts), start=1):
+    layout = _layout(shape.outer.parts, shape.inner.parts)
+    for r, (first, width, up) in enumerate(layout, start=1):
         start = len(plan)
         if width:
             lo, hi = cell_bounds(spec, r)
         for k in range(width):
             plan.append((lo, hi, start + k - 1 if k else -1,
-                         above + k - up if k >= up else -1))
-        cuts.append((start, start + width))
+                         above + k - up if k >= up else -1, first + k - r))
+        # cell k >= up' of the next row lies below cell k - up' of this one
+        _, width_next, up_next = layout[r] if r < len(layout) else (0, 0, 0)
+        cuts.append((start, start + width,
+                     start + max(0, width_next - up_next)))
         above = start
     return plan, cuts
 
@@ -272,7 +275,7 @@ def enumerate_tableaux(spec: EnumSpec):
     grid: list = [()] * len(plan)
 
     def fill(i: int):
-        lo, hi, left, up = plan[i]
+        lo, hi, left, up, _ = plan[i]
         if left >= 0 and grid[left][-1] > lo:
             lo = grid[left][-1]
         if up >= 0 and grid[up][-1] >= lo:
@@ -281,7 +284,7 @@ def enumerate_tableaux(spec: EnumSpec):
             grid[i] = cell
             if i == last:
                 yield _built(shape, tuple([tuple(grid[a:b])
-                                           for a, b in cuts]))
+                                           for a, b, _ in cuts]))
             else:
                 yield from fill(i + 1)
 

@@ -5,13 +5,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egc import grothendieck
 from egc.grothendieck import (ORBIT_PRIME, OrbitTable, backstable_approx,
                               default_window, g_eval, grothendieck_poly,
-                              gvex_check)
+                              gvex_checker)
 from egc.perms import Permutation, from_partition
 from egc.ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, ominus,
                       sample_point)
@@ -215,10 +215,10 @@ def test_gvex_check_small():
     rng = random.Random(13)
     for _ in range(3):
         pt = sample_point(P, rng, range(-2, 3), range(-2, 3))
-        assert gvex_check(Permutation.s(0), pt, p=3, n=6, method="poly")
+        assert gvex_checker(Permutation.s(0), 3, 6, "poly")(pt)
     w = Permutation.from_one_line((3, 4, 5, 1, 6, 2), 1)
     pt = sample_point(ORBIT_PRIME, rng, range(1, 7), (1, 2), distinct_x=True)
-    assert gvex_check(w, pt, p=0, n=6, method="orbit")
+    assert gvex_checker(w, 0, 6, "orbit")(pt)
 
 
 def test_gvex_grassmannian():
@@ -229,13 +229,13 @@ def test_gvex_grassmannian():
         n = w.window_hi + p0
         pt = sample_point(ORBIT_PRIME, rng, range(1 - p0, n - p0 + 1), (1, 2),
                           distinct_x=True)
-        assert gvex_check(w, pt, p=p0, n=n, method="orbit")
+        assert gvex_checker(w, p0, n, "orbit")(pt)
 
 
 def test_gvex_rejects_non_vexillary():
     pt = EvaluationPoint.make(P, 1, {}, {})
     with pytest.raises(ValueError):
-        gvex_check(Permutation.from_word((1, 2, -1, 0)), pt)
+        gvex_checker(Permutation.from_word((1, 2, -1, 0)))(pt)
 
 
 @pytest.mark.parametrize("method", ["dp", "enum"])
@@ -261,6 +261,17 @@ SMALL_SKEW = [SkewShape(lam, mu) for lam in partitions_up_to(6)
        sign=st.sampled_from(("positive", "nonpositive", "any")),
        ends=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
        seed=st.integers(0, 2**32))
+# row 2's cell has no cell above it; an empty middle row; rows that start
+# in different columns
+@example(shape=SkewShape(Partition((3, 1)), Partition((2,))),
+         bounds=[3] * 6, flagged=False, sign="any", ends=(-2, 2), seed=1)
+@example(shape=SkewShape(Partition((3, 1, 1)), Partition((1, 1))),
+         bounds=[3] * 6, flagged=False, sign="any", ends=(-2, 2), seed=2)
+@example(shape=SkewShape(Partition((3, 3, 1)), Partition((2, 1))),
+         bounds=[3] * 6, flagged=False, sign="any", ends=(-2, 2), seed=3)
+@example(shape=SkewShape(Partition((3, 3, 1)), Partition((2, 1))),
+         bounds=[1, 2, 3, 3, 3, 3], flagged=True, sign="positive",
+         ends=(-1, 3), seed=4)
 def test_dp_matches_enumeration_property(shape, bounds, flagged, sign, ends,
                                          seed):
     flag = Flag(tuple(sorted(bounds))[:len(shape.outer)]) if flagged else None

@@ -2,8 +2,7 @@
 
 import pytest
 
-from egc.perms import (Permutation, code_of, code_shape_flag, from_partition,
-                       from_shape_flag)
+from egc.perms import Permutation, code_of, code_shape_flag, from_partition
 from egc.shapes import Flag, Partition, flags_equivalent, is_compatible
 
 
@@ -73,16 +72,6 @@ def test_from_partition():
         assert csf.shape == lam
         assert is_compatible(csf.shape, csf.flag)
     assert from_partition(Partition((1,))) == Permutation.s(0)
-
-
-def test_from_shape_flag_roundtrip():
-    for parts, bounds in [((2, 2, 2, 1), (3, 3, 3, 5)), ((1,), (0,)),
-                          ((2, 1), (-1, 0)), ((3,), (2,))]:
-        lam, phi = Partition(parts), Flag(bounds)
-        w = from_shape_flag(lam, phi)
-        csf = code_shape_flag(w)
-        assert csf.shape == lam
-        assert flags_equivalent(lam, csf.flag, phi)
 
 
 def test_neg_and_iota():

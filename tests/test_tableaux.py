@@ -5,7 +5,7 @@ import re
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from egc.ring import EvaluationPoint, ominus, sample_point
@@ -281,6 +281,16 @@ SKEW_4 = [SkewShape(lam, mu) for lam in partitions_up_to(6)
        bounds=st.lists(st.integers(-1, 2), min_size=6, max_size=6),
        flagged=st.booleans(),
        ends=st.tuples(st.integers(-1, 2), st.integers(-1, 2)))
+# row 2's cell has no cell above it; an empty middle row; rows that start
+# in different columns
+@example(shape=SkewShape(Partition((3, 1)), Partition((2,))),
+         bounds=[2] * 6, flagged=False, ends=(-1, 2))
+@example(shape=SkewShape(Partition((3, 1, 1)), Partition((1, 1))),
+         bounds=[2] * 6, flagged=False, ends=(-1, 2))
+@example(shape=SkewShape(Partition((3, 3, 1)), Partition((2, 1))),
+         bounds=[2] * 6, flagged=False, ends=(-1, 2))
+@example(shape=SkewShape(Partition((3, 3, 1)), Partition((2, 1))),
+         bounds=[1, 2, 2, 2, 2, 2], flagged=True, ends=(-1, 3))
 def test_count_instance_matches_enumeration(shape, bounds, flagged, ends):
     """The transfer DP with top 1 and extra 2 counts the tableaux."""
     flag = Flag(tuple(sorted(bounds))[:len(shape.outer)]) if flagged else None
