@@ -11,6 +11,9 @@ tree, and prints every command whose stdout or exit code differs:
 - `egc verify --suite decompose --trials 0 --max-size 4 --flag-range -2:3
   --window -2:3 --format json`, the exhaustive split/merge bijection on
   the inputs of the `verify_exhaustive` benchmark workload;
+- every `egc verify` call of the `verify_sampled` benchmark workload
+  (`bench/workloads.SAMPLED`, read from the working tree) at seed 0, which
+  runs the theorem and pi suites at size 5;
 - `egc tableaux`, with an explicit window and with the default one;
 - `egc perm --oneline`.
 
@@ -48,8 +51,9 @@ OTHERS = [
 def commands() -> list[list[str]]:
     sys.dont_write_bytecode = True  # leave nothing under bench/
     sys.path.insert(0, str(ROOT / "bench"))
-    from workloads import LADDER
-    return [rung.argv() for rung in LADDER] + OTHERS
+    from workloads import LADDER, SAMPLED
+    return [rung.argv() for rung in LADDER] + OTHERS \
+        + [run.argv(0) for run in SAMPLED]
 
 
 def unpack_src(rev: str, dest: Path) -> None:

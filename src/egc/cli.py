@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 
@@ -28,8 +29,10 @@ def parse_ints(text: str) -> tuple[int, ...]:
 
 
 def parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    return (int(lo), int(hi))
+    match = re.fullmatch(r"\s*([+-]?\d+)\s*:\s*([+-]?\d+)\s*", text)
+    if not match:
+        raise ValueError(f"range {text!r} is not of the form lo:hi")
+    return (int(match[1]), int(match[2]))
 
 
 def cmd_j(args) -> int:
@@ -192,9 +195,11 @@ def _join_list_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_list_values(
-        list(sys.argv[1:] if argv is None else argv)))
+    try:
+        args = build_parser().parse_args(_join_list_values(
+            list(sys.argv[1:] if argv is None else argv)))
+    except SystemExit as exc:  # argparse exits 2 on a usage error
+        raise SystemExit(1 if exc.code == 2 else exc.code) from None
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

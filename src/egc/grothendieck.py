@@ -12,7 +12,6 @@ and, through the omega suite, in `egc verify`.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import replace
 from functools import lru_cache
 from itertools import permutations as iter_permutations
 
@@ -35,35 +34,28 @@ def _dead_below(shape: SkewShape, point: EvaluationPoint) -> int | None:
     which vanishes when both variables read 0.  None means no constraint
     (both supports empty or shape empty).
     """
-    cells = shape.cells()
-    if not cells:
+    d_max = shape.props.d_max
+    if d_max is None:
         return None
-    d_max = max(c - r for r, c in cells)
-    bounds = []
-    if point.x_support:
-        bounds.append(min(point.x_support))
-    if point.y_support:
-        bounds.append(min(point.y_support) - d_max)
-    return min(bounds) if bounds else None
+    return min([*point.x_support, *(y - d_max for y in point.y_support)],
+               default=None)
 
 
 def default_window(shape: SkewShape, flag: Flag | None, sign: str,
                    point: EvaluationPoint) -> tuple[int, int]:
-    cells = shape.cells()
-    if not cells:
+    props = shape.props
+    if not props.rows_occupied:
         return (0, 0)
-    rows = sorted({r for r, _ in cells})
-    d_min = min(c - r for r, c in cells)
     if sign == "nonpositive":
         hi = 0
     elif flag is not None:
-        hi = max(flag.entry(r) for r in rows)
+        last = props.rows_occupied[-1]  # the flag weakly increases
+        if len(flag) < last:
+            raise ValueError("flag shorter than the occupied rows")
+        hi = flag.entry(last)
     else:
-        hi = 0
-        if point.x_support:
-            hi = max(hi, max(point.x_support))
-        if point.y_support:
-            hi = max(hi, max(point.y_support) - d_min)
+        hi = max([0, *point.x_support,
+                  *(y - props.d_min for y in point.y_support)])
     if sign == "positive":
         lo = 1
     else:
@@ -83,7 +75,6 @@ def g_eval(shape: SkewShape, flag: Flag | None, sign: str,
            point: EvaluationPoint, window: tuple[int, int] | None = None,
            method: str = "dp") -> int:
     """Sum of tableau weights over the admissible fillings of the shape."""
-    spec = EnumSpec(shape, flag, sign)  # checks the flag before it is read
     if window is None:
         window = default_window(shape, flag, sign, point)
     elif sign != "positive":
@@ -92,7 +83,7 @@ def g_eval(shape: SkewShape, flag: Flag | None, sign: str,
             raise ValueError(
                 f"window {window} insufficient: values down to {dead} can "
                 "contribute at this point")
-    spec = replace(spec, window=window)
+    spec = EnumSpec(shape, flag, sign, window)
     if method == "enum":
         return _enum_eval(spec, point)
     return field_sum(spec, point)

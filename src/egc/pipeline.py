@@ -35,11 +35,7 @@ from .tableaux import EnumSpec, Semiring, tableau_sum
 
 def q_of(lam: Partition) -> int:
     """Largest q with (q,q) a cell of lam (0 for the empty partition)."""
-    q = 0
-    for r in range(1, len(lam) + 1):
-        if lam.part(r) >= r:
-            q = r
-    return q
+    return sum(1 for r, part in enumerate(lam, start=1) if part >= r)
 
 
 def unique_nu(lam: Partition, phi: Flag, rho: Partition) -> Partition | None:
@@ -49,16 +45,12 @@ def unique_nu(lam: Partition, phi: Flag, rho: Partition) -> Partition | None:
         raise ValueError(f"flag {phi} not compatible with {lam}")
     if not lam.contains(rho):
         raise ValueError(f"rho {rho} not contained in lambda {lam}")
-    for r in range(1, len(lam) + 1):
-        if rho.part(r) < lam.part(r):
-            if rho.part(r) < r <= lam.part(r):
-                return None  # diagonal cell in lambda/rho
-            if phi.entry(r) == 0:
-                return None  # cell in a zero-flag row
-    nu = []
-    for r in range(1, len(lam) + 1):
-        nu.append(lam.part(r) if phi.entry(r) <= 0 else rho.part(r))
-    nu_p = Partition(nu)
+    props = skew_props(lam.parts, rho.parts)
+    if props.has_diagonal_cell or \
+            any(phi.entry(r) == 0 for r in props.rows_occupied):
+        return None  # a diagonal cell, or a cell in a zero-flag row
+    nu_p = Partition(tuple(lam.part(r) if phi.entry(r) <= 0 else rho.part(r)
+                           for r in range(1, len(lam) + 1)))
     if not (nu_p.contains(rho) and lam.contains(nu_p)):
         raise RuntimeError(f"nu {nu_p} not between rho {rho} and lambda {lam}")
     phi_minus, _ = flag_split(phi)
@@ -108,7 +100,7 @@ def chi_flags(lam: Partition, phi: Flag) -> list[Flag]:
 def _disconnected_inners(nu: Partition) -> tuple[Partition, ...]:
     """The mu <= nu with nu/mu disconnected, in subpartitions order."""
     return tuple(mu for mu in subpartitions(nu)
-                 if skew_props(SkewShape(nu, mu)).is_disconnected)
+                 if skew_props(nu.parts, mu.parts).is_disconnected)
 
 
 # multiplicities of factor multisets, each a sorted tuple of factor codes
@@ -138,13 +130,11 @@ def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
     pi = pis[-1]
     total = FACTOR_SUMS.zero
     for mu in _disconnected_inners(nu):
-        shape = SkewShape(lam, mu)
-        props = skew_props(shape)
-        if props.has_diagonal_cell:
+        props = skew_props(lam.parts, mu.parts)
+        if props.has_diagonal_cell or \
+                any(phi_plus.entry(r) == 0 for r in props.rows_occupied):
             continue
-        if any(phi_plus.entry(r) == 0 for r in props.rows_occupied):
-            continue
-        upper, lower = diagonal_split(shape)
+        upper, lower = diagonal_split(SkewShape(lam, mu))
         total = add_terms(total, mul_terms(
             half_sum(upper, phi_plus, lambda m, d: factor_code((m, m + d))),
             half_sum(lower, psi, lambda m, d: factor_code((pi(m), m + d)))))

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -143,32 +144,51 @@ class SkewShape:
     def conjugate(self) -> "SkewShape":
         return SkewShape(self.outer.conjugate(), self.inner.conjugate())
 
+    @property
+    def props(self) -> SkewProps:
+        return skew_props(self.outer.parts, self.inner.parts)
 
-@dataclass(frozen=True)
-class SkewProps:
+
+class SkewProps(NamedTuple):
+    """Per row of outer/inner: its first column, its width and `up`; the
+    cell at position k >= up of a row lies below the cell at position
+    k - up of the row before.  The diagonals c - r of the cells span
+    d_min..d_max; disconnected means no two cells are adjacent."""
+
+    rows: tuple[tuple[int, int, int], ...]
+    rows_occupied: tuple[int, ...]  # 1-based, increasing
+    d_min: int | None
+    d_max: int | None
     has_diagonal_cell: bool
     is_disconnected: bool
-    rows_occupied: frozenset[int]
 
 
 @lru_cache(maxsize=4096)
-def skew_props(shape: SkewShape) -> SkewProps:
-    """Cached: shapes are frozen, and the suites ask about few of them."""
-    cells = set(shape.cells())
-    diag = any(r == c for r, c in cells)
-    connected = any((r, c + 1) in cells or (r + 1, c) in cells for r, c in cells)
-    rows = frozenset(r for r, _ in cells)
-    return SkewProps(diag, not connected, rows)
+def skew_props(outer: tuple[int, ...], inner: tuple[int, ...]) -> SkewProps:
+    """The record of outer/inner, for part tuples with inner inside outer.
+    Keyed on the tuples, which hash in C."""
+    rows, above = [], outer[0] if outer else 0  # row 1: up = its width
+    for r, length in enumerate(outer):
+        start = inner[r] if r < len(inner) else 0
+        rows.append((start + 1, length - start, above - start))
+        above = start
+    spans = [(r, first, first + w - 1)
+             for r, (first, w, _) in enumerate(rows, start=1) if w]
+    return SkewProps(
+        tuple(rows), tuple(r for r, _, _ in spans),
+        min((first - r for r, first, _ in spans), default=None),
+        max((last - r for r, _, last in spans), default=None),
+        any(first <= r <= last for r, first, last in spans),
+        all(w <= min(up, 1) for _, w, up in rows))
 
 
 def diagonal_split(shape: SkewShape) -> tuple[SkewShape, SkewShape]:
     """Separate a diagonal-free skew shape into its strictly-upper and
     strictly-lower parts, each again a skew shape of the same outer partition."""
     lam, mu = shape.outer, shape.inner
-    if skew_props(shape).has_diagonal_cell:
+    if shape.props.has_diagonal_cell:
         raise ValueError(f"shape {shape} has a diagonal cell")
-    mu_up = []
-    mu_down = []
+    mu_up, mu_down = [], []
     for r in range(1, len(lam) + 1):
         lr, mr = lam.part(r), mu.part(r)
         # upper part keeps cells with c > r, lower part cells with c < r

@@ -13,21 +13,6 @@ from .ring import EvaluationPoint
 from .shapes import Flag, Partition, SkewShape, skew_props
 
 
-@lru_cache(maxsize=1024)
-def _layout(outer: tuple[int, ...], inner: tuple[int, ...]
-            ) -> tuple[tuple[int, int, int], ...]:
-    """Per row of the skew shape outer/inner: its first column, its width,
-    and `up`, the number of its leading cells with no cell above.  The cell
-    at position k >= up of a row lies below the cell at position k - up of
-    the row before.  Keyed on part tuples, which hash in C."""
-    out, above = [], outer[0] if outer else 0  # row 1: up = its width
-    for r, length in enumerate(outer):
-        start = inner[r] if r < len(inner) else 0
-        out.append((start + 1, length - start, above - start))
-        above = start
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class _Tableau:
     """A filling of a skew shape by nonempty sorted sets of integers.
@@ -41,7 +26,7 @@ class _Tableau:
     def __post_init__(self):
         rows = tuple([tuple(map(tuple, row)) for row in self.rows])
         object.__setattr__(self, "rows", rows)
-        layout = _layout(self.shape.outer.parts, self.shape.inner.parts)
+        layout = self.shape.props.rows
         if len(rows) != len(layout):
             raise ValueError("row count does not match shape")
         row_ok, col_ok = self._row_ok, self._col_ok
@@ -67,14 +52,16 @@ class _Tableau:
             above = row
 
     def entry(self, r: int, c: int) -> tuple[int, ...]:
-        cols = self.shape.row_cols(r)
-        if c not in cols:
+        layout = self.shape.props.rows
+        first, width, _ = layout[r - 1] if 1 <= r <= len(layout) else (0, 0, 0)
+        if not first <= c < first + width:
             raise KeyError(f"cell {(r, c)} not in shape {self.shape}")
-        return self.rows[r - 1][c - cols.start]
+        return self.rows[r - 1][c - first]
 
     def cells(self):
-        for r, row in enumerate(self.rows, start=1):
-            yield from zip(((r, c) for c in self.shape.row_cols(r)), row)
+        for r, (row, (first, _, _)) in enumerate(
+                zip(self.rows, self.shape.props.rows), start=1):
+            yield from zip(((r, first + k) for k in range(len(row))), row)
 
     @property
     def value_count(self) -> int:
@@ -152,8 +139,7 @@ class EnumSpec:
         if lo > hi:
             raise ValueError(f"empty value window {self.window}")
         if self.flag is not None:
-            occupied = [r for r in range(1, len(self.shape.outer) + 1)
-                        if self.shape.row_cols(r)]
+            occupied = self.shape.props.rows_occupied
             if occupied and len(self.flag) < occupied[-1]:
                 raise ValueError("flag shorter than the occupied rows")
 
@@ -247,8 +233,7 @@ def _plan(spec: EnumSpec):
     slice start..end of that order with `keep`, the end of its leading
     cells that the next row reads."""
     plan, cuts, above = [], [], 0
-    shape = spec.shape
-    layout = _layout(shape.outer.parts, shape.inner.parts)
+    layout = spec.shape.props.rows
     for r, (first, width, up) in enumerate(layout, start=1):
         start = len(plan)
         if width:
@@ -372,7 +357,7 @@ def _split_shapes(lam: tuple[int, ...], nu_rows: tuple[int, ...],
     disconnected.  Keyed on part tuples, which hash in C."""
     nu, mu = Partition(nu_rows), Partition(mu_rows)
     return (SkewShape(nu), SkewShape(Partition(lam), mu),
-            skew_props(SkewShape(nu, mu)).is_disconnected)
+            skew_props(nu.parts, mu.parts).is_disconnected)
 
 
 def merge(tminus: SetValuedTableau, tplus: SetValuedTableau) -> SetValuedTableau:
@@ -409,19 +394,19 @@ def _merge_shape(lam: tuple[int, ...], nu: tuple[int, ...],
         raise ValueError("inner shape of the positive part not contained in nu")
     if not lam.contains(nu):
         raise ValueError("nu not contained in the outer shape")
-    if not skew_props(SkewShape(nu, mu)).is_disconnected:
+    if not skew_props(nu.parts, mu.parts).is_disconnected:
         raise ValueError("nu/mu is not disconnected")
     return SkewShape(lam)
 
 
 def _conjugate_negate(t: _Tableau, cls: type[_Tableau]) -> _Tableau:
     """Conjugate the shape, then replace each value i by 1-i."""
-    shape, inner = t.shape.conjugate(), t.shape.inner
+    shape, layout = t.shape.conjugate(), t.shape.props.rows
     rows = []
-    for r in range(1, len(shape.outer) + 1):
+    for r, (first, width, _) in enumerate(shape.props.rows, start=1):
         # cell (r, c) of the conjugate shape is cell (c, r) of t
-        cells = (t.rows[c - 1][r - 1 - inner.part(c)]
-                 for c in shape.row_cols(r))
+        cells = (t.rows[c - 1][r - layout[c - 1][0]]
+                 for c in range(first, first + width))
         rows.append(tuple(tuple(1 - v for v in reversed(cell))
                           for cell in cells))
     return cls(shape, tuple(rows))

@@ -203,11 +203,10 @@ def _pi_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
     nmax = max([1] + list(phi.bounds))
     rng = _stream(cfg.seed, f"pi:{key}")
     for mu in subpartitions(lam):
-        shape = SkewShape(lam, mu)
-        if skew_props(shape).has_diagonal_cell:
+        if skew_props(lam.parts, mu.parts).has_diagonal_cell:
             continue
-        _, lower = diagonal_split(shape)
-        if not lower.cells():
+        _, lower = diagonal_split(SkewShape(lam, mu))
+        if not lower.size:
             continue
         for _ in range(cfg.trials):
             base = sample_point(cfg.prime, rng, (),

@@ -163,6 +163,33 @@ def test_verify_exhaustive_only(capsys):
     ("tableaux", "--lambda", "1", "--format", "json"),
 ])
 def test_subcommands_refuse_options_they_do_not_read(capsys, argv):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(list(argv))
+    assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("j", "--lambda", "2", "--phi", "1"),
+    (),
+])
+def test_usage_errors_exit_1(capsys, argv):
+    # exit code 2 means a structurally-zero coefficient, not a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    assert "required" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["j", "--help"])
+    assert exc.value.code == 0 and "--lambda" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["3", "1:", "a:b", "1:2:3", ""])
+def test_malformed_range_refused(capsys, text):
+    with pytest.raises(ValueError, match=repr(text)):
+        parse_range(text)
+    code, _, err = run(capsys, "tableaux", "--lambda", "1", "--window", text)
+    assert code == 1 and repr(text) in err

@@ -62,11 +62,52 @@ def test_skew_shape():
 
 
 def test_skew_props():
-    assert not skew_props(SkewShape(Partition((1, 1)))).is_disconnected
-    single = skew_props(SkewShape(Partition((1,))))
+    assert not skew_props((1, 1), ()).is_disconnected
+    single = skew_props((1,), ())
     assert single.is_disconnected and single.has_diagonal_cell
-    sh = skew_props(SkewShape(Partition((2, 1, 1)), Partition((1,))))
+    sh = skew_props((2, 1, 1), (1,))
     assert not sh.has_diagonal_cell
+    assert sh.rows == ((2, 1, 1), (1, 1, 1), (1, 1, 0))
+    assert sh.rows_occupied == (1, 2, 3) and (sh.d_min, sh.d_max) == (-2, 1)
+    assert SkewShape(Partition((2, 1, 1)), Partition((1,))).props == sh
+    empty = skew_props((2, 1), (2, 1))
+    assert empty.rows_occupied == () and empty.d_max is None
+    assert empty.is_disconnected and not empty.has_diagonal_cell
+
+
+def _reference_props(shape: SkewShape):
+    """The record of shape from its set of cells: rows as (first column,
+    width, count of cells with no cell above)."""
+    cells = set(shape.cells())
+    rows = []
+    for r in range(1, len(shape.outer) + 1):
+        cols = [c for rr, c in sorted(cells) if rr == r]
+        first = shape.inner.part(r) + 1
+        up = sum(1 for c in cols if (r - 1, c) not in cells)
+        rows.append((first, len(cols), up))
+    diags = [c - r for r, c in cells]
+    return (tuple(rows), tuple(sorted({r for r, _ in cells})),
+            min(diags, default=None), max(diags, default=None),
+            any(r == c for r, c in cells),
+            not any((r, c + 1) in cells or (r + 1, c) in cells
+                    for r, c in cells))
+
+
+def test_skew_props_matches_cell_sets():
+    """Against a derivation from SkewShape.cells() for every skew shape of
+    size at most 7.  `up` is compared where it is read: up to the width,
+    where the cell at position up lies below a cell of the row above."""
+    for lam in partitions_up_to(7):
+        for mu in subpartitions(lam):
+            shape = SkewShape(lam, mu)
+            props = skew_props(lam.parts, mu.parts)
+            ref = _reference_props(shape)
+            clipped = tuple((first, w, min(up, w))
+                            for first, w, up in props.rows)
+            assert (clipped,) + tuple(props[1:]) == ref, shape
+            for r, (first, w, up) in enumerate(props.rows, start=1):
+                if up < w:
+                    assert (r - 1, first + up) in shape.cells(), shape
 
 
 def test_diagonal_split_examples():
