@@ -7,6 +7,8 @@ tree, and prints every command whose stdout or exit code differs:
 
 - `egc j --format json` on each rung of the benchmark ladder
   (`bench/workloads.LADDER`, read from the working tree);
+- `egc j` on a structural zero with rho inside lambda, on rho outside
+  lambda, and on an incompatible flag (exit 1);
 - `egc verify --suite all --max-size 3 --seed 0 --format json`;
 - `egc verify --suite decompose --trials 0 --max-size 4 --flag-range -2:3
   --window -2:3 --format json`, the exhaustive split/merge bijection on
@@ -37,6 +39,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OTHERS = [
+    ["j", "--lambda", "1", "--phi", "0", "--rho", "", "--format", "json"],
+    ["j", "--lambda", "1", "--phi", "1", "--rho", "2"],
+    ["j", "--lambda", "1,1", "--phi", "1,5", "--rho", "1"],
     ["verify", "--suite", "all", "--max-size", "3", "--seed", "0",
      "--format", "json"],
     ["verify", "--suite", "decompose", "--trials", "0", "--max-size", "4",

@@ -15,8 +15,7 @@ from dataclasses import fields
 
 from .perms import Permutation, code_of, code_shape_flag
 from .pipeline import build_context, j_coefficient
-from .ring import GrahamSum
-from .shapes import Flag, Partition, SkewShape, is_compatible
+from .shapes import Flag, Partition, SkewShape
 from .tableaux import EnumSpec, enumerate_tableaux
 from .verify import SUITES, RunConfig, verify_identities
 
@@ -39,24 +38,15 @@ def cmd_j(args) -> int:
     lam = Partition(parse_ints(args.lam))
     phi = Flag(parse_ints(args.phi))
     rho = Partition(parse_ints(args.rho))
-    if not is_compatible(lam, phi):
-        raise ValueError(f"flag {phi.bounds} not compatible with {lam.parts}")
-    structural_zero = not lam.contains(rho)
-    if structural_zero:
-        ctx = None
-        result = GrahamSum.zero()
-    else:
-        ctx = build_context(lam, phi, rho)
-        result = j_coefficient(lam, phi, rho, ctx)
-        structural_zero = ctx.nu is None
+    ctx = build_context(lam, phi, rho)  # validates the flag
+    result = j_coefficient(lam, phi, rho)
     norm = lam.size - rho.size
     if args.format == "json":
         result.to_json(norm, {
             "lambda": list(lam.parts), "phi": list(phi.bounds),
             "rho": list(rho.parts),
-            "nu": list(ctx.nu.parts) if ctx and ctx.nu is not None else None,
-            "q": ctx.q if ctx else None,
-            "case": ctx.case if ctx else "zero",
+            "nu": list(ctx.nu.parts) if ctx.nu is not None else None,
+            "q": ctx.q, "case": ctx.case,
         }, sys.stdout)
         print()
     else:
@@ -68,7 +58,7 @@ def cmd_j(args) -> int:
             print(header, "=")
             for line in result.text_lines():
                 print("  " + line)
-    return 2 if structural_zero else 0
+    return 2 if ctx.case == "zero" else 0
 
 
 def cmd_perm(args) -> int:

@@ -38,6 +38,14 @@ def q_of(lam: Partition) -> int:
     return sum(1 for r, part in enumerate(lam, start=1) if part >= r)
 
 
+def _vanishes(outer: Partition, inner: Partition, phi: Flag) -> bool:
+    """Every coefficient through outer/inner is zero: the shape has a
+    diagonal cell, or a cell in a row where phi is 0."""
+    props = skew_props(outer.parts, inner.parts)
+    return props.has_diagonal_cell or \
+        any(phi.entry(r) == 0 for r in props.rows_occupied)
+
+
 def unique_nu(lam: Partition, phi: Flag, rho: Partition) -> Partition | None:
     """The only middle partition through which the coefficient can factor;
     None when the coefficient vanishes structurally."""
@@ -45,10 +53,8 @@ def unique_nu(lam: Partition, phi: Flag, rho: Partition) -> Partition | None:
         raise ValueError(f"flag {phi} not compatible with {lam}")
     if not lam.contains(rho):
         raise ValueError(f"rho {rho} not contained in lambda {lam}")
-    props = skew_props(lam.parts, rho.parts)
-    if props.has_diagonal_cell or \
-            any(phi.entry(r) == 0 for r in props.rows_occupied):
-        return None  # a diagonal cell, or a cell in a zero-flag row
+    if _vanishes(lam, rho, phi):
+        return None
     nu_p = Partition(tuple(lam.part(r) if phi.entry(r) <= 0 else rho.part(r)
                            for r in range(1, len(lam) + 1)))
     if not (nu_p.contains(rho) and lam.contains(nu_p)):
@@ -130,9 +136,7 @@ def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
     pi = pis[-1]
     total = FACTOR_SUMS.zero
     for mu in _disconnected_inners(nu):
-        props = skew_props(lam.parts, mu.parts)
-        if props.has_diagonal_cell or \
-                any(phi_plus.entry(r) == 0 for r in props.rows_occupied):
+        if _vanishes(lam, mu, phi_plus):
             continue
         upper, lower = diagonal_split(SkewShape(lam, mu))
         total = add_terms(total, mul_terms(
@@ -165,40 +169,41 @@ class PipelineContext:
     q: int
     nu: Partition | None
     case: str  # "zero" | "nonpositive" | "nonnegative" | "both"
+    phi_minus: Flag | None  # cut to len(nu); None when nu is None
+    phi_plus: Flag | None  # None when nu is None
 
 
+@lru_cache(maxsize=64)
 def build_context(lam: Partition, phi: Flag, rho: Partition) -> PipelineContext:
+    """The one record of a coefficient input: a flag incompatible with lam
+    raises ValueError, and rho outside lam is structurally zero.  Cached,
+    so that both routes on the same triple derive nu once."""
+    if not is_compatible(lam, phi):
+        raise ValueError(f"flag {phi} not compatible with {lam}")
     q = q_of(lam)
-    nu = unique_nu(lam, phi, rho)  # validates the flag and rho
+    nu = unique_nu(lam, phi, rho) if lam.contains(rho) else None
     if nu is None:
-        case = "zero"
-    elif q == 0:
+        return PipelineContext(lam, phi, rho, q, None, "zero", None, None)
+    if q == 0 or phi.entry(q) == 0:
         case = "both"
     elif phi.entry(q) < 0:
         case = "nonpositive"
-    elif phi.entry(q) > 0:
-        case = "nonnegative"
     else:
-        case = "both"
-    return PipelineContext(lam, phi, rho, q, nu, case)
+        case = "nonnegative"
+    phi_minus, phi_plus = flag_split(phi)
+    return PipelineContext(lam, phi, rho, q, nu, case,
+                           Flag(phi_minus.bounds[:len(nu)]), phi_plus)
 
 
-def j_coefficient(lam: Partition, phi: Flag, rho: Partition,
-                  context: PipelineContext | None = None) -> GrahamSum:
+def j_coefficient(lam: Partition, phi: Flag, rho: Partition) -> GrahamSum:
     """The normalized Graham-positive coefficient: every monomial's total
     beta exponent equals its factor count after multiplying by
-    beta^{|lam| - |rho|}, so the returned sum has beta_exp 0.
-    build_context(lam, phi, rho) may supply nu."""
-    if not is_compatible(lam, phi):
-        raise ValueError(f"flag {phi} not compatible with {lam}")
-    if not lam.contains(rho):
+    beta^{|lam| - |rho|}, so the returned sum has beta_exp 0."""
+    ctx = build_context(lam, phi, rho)
+    if ctx.nu is None:
         return GrahamSum.zero()
-    nu = unique_nu(lam, phi, rho) if context is None else context.nu
-    if nu is None:
-        return GrahamSum.zero()
-    phi_minus, phi_plus = flag_split(phi)
-    raw = j_minus(nu, Flag(phi_minus.bounds[:len(nu)]), rho) \
-        * j_plus(lam, phi_plus, nu)
+    raw = j_minus(ctx.nu, ctx.phi_minus, rho) \
+        * j_plus(lam, ctx.phi_plus, ctx.nu)
     if raw.beta_exp + lam.size - rho.size != 0:
         raise RuntimeError("the beta exponent differs from the factor count")
     return GrahamSum(raw.terms)
@@ -238,12 +243,9 @@ def j_numeric(lam: Partition, phi: Flag, rho: Partition,
               point: EvaluationPoint) -> int:
     """Raw (unnormalized) coefficient through the unique middle partition,
     with both halves evaluated as tableau sums over F_p at x := y."""
-    if not lam.contains(rho):
+    ctx = build_context(lam, phi, rho)
+    if ctx.nu is None:
         return 0
-    nu = unique_nu(lam, phi, rho)
-    if nu is None:
-        return 0
-    phi_minus, phi_plus = flag_split(phi)
     pt = point.with_x_to_y()
-    minus = j_minus_numeric(nu, Flag(phi_minus.bounds[:len(nu)]), rho, pt)
-    return minus * j_plus_numeric(lam, phi_plus, nu, pt) % point.prime
+    minus = j_minus_numeric(ctx.nu, ctx.phi_minus, rho, pt)
+    return minus * j_plus_numeric(lam, ctx.phi_plus, ctx.nu, pt) % point.prime

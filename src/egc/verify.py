@@ -122,8 +122,7 @@ def _decompose_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
             left[pair] = left.get(pair, 0) + 1
         right: dict[tuple, int] = {}
         for nu in subpartitions(lam):
-            nflag = Flag(phi_minus.bounds[:len(nu)])
-            n_minus = _count(EnumSpec(SkewShape(nu), nflag, "nonpositive",
+            n_minus = _count(EnumSpec(SkewShape(nu), phi_minus, "nonpositive",
                                       window))
             if n_minus == 0:
                 continue
@@ -148,8 +147,7 @@ def _decompose_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
         for skew_flag in (phi, flag_split(phi)[1]):
             rhs = 0
             for nu in subpartitions(lam):
-                nflag = Flag(phi_minus.bounds[:len(nu)])
-                outer = g_eval(SkewShape(nu), nflag, "nonpositive", pt,
+                outer = g_eval(SkewShape(nu), phi_minus, "nonpositive", pt,
                                (wlo, whi))
                 if outer == 0:
                     continue
@@ -304,7 +302,7 @@ def _theorem_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
     rng = _stream(cfg.seed, f"theorem:{key}")
     ylo = min([0] + list(phi.bounds)) - len(lam) - 1
     yhi = max([1] + list(phi.bounds)) + lam.part(1) + 1
-    for rho in list(subpartitions(lam)) + [Partition(())]:
+    for rho in subpartitions(lam):
         rkey = f"{key} rho={rho.parts}"
         j = j_coefficient(lam, phi, rho)
         if j.beta_exp != 0:

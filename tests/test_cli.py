@@ -34,6 +34,15 @@ def test_j_structural_zero(capsys):
     assert "= 0" in out
 
 
+def test_j_rho_not_contained_reports_q(capsys):
+    # q depends on lambda alone, so a structural zero still reports it
+    code, out, _ = run(capsys, "j", "--lambda", "1", "--phi", "1",
+                       "--rho", "2", "--format", "json")
+    payload = json.loads(out)
+    assert code == 2
+    assert (payload["nu"], payload["q"], payload["case"]) == (None, 1, "zero")
+
+
 def test_j_json_metadata(capsys):
     code, out, _ = run(capsys, "j", "--lambda", "7,4,2,2,1",
                        "--phi", "-1,0,1,2,4", "--rho", "5,4,2,1,1",

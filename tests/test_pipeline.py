@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egc import pipeline
 from egc.perms import Permutation
 from egc.pipeline import (build_context, chi_flags, half_sum, j_coefficient,
                           j_minus, j_numeric, j_of_permutation, j_plus,
@@ -16,7 +17,7 @@ from egc.ring import (DEFAULT_PRIME, GrahamMonomial, GrahamSum, eval_graham,
 from egc.shapes import (Flag, Partition, SkewShape, compatible_flags,
                         subpartitions)
 from egc.tableaux import EnumSpec, enumerate_tableaux
-from egc.verify import partitions_up_to
+from egc.verify import partitions_up_to, verify_identities
 
 P = DEFAULT_PRIME
 
@@ -164,8 +165,37 @@ def test_positive_machinery_requires_compatible_flag():
 
 
 def test_j_coefficient_rho_not_contained():
-    assert j_coefficient(Partition((2,)), Flag((1,)),
-                         Partition((1, 1))).is_zero()
+    lam, phi, rho = Partition((2,)), Flag((1,)), Partition((1, 1))
+    ctx = build_context(lam, phi, rho)
+    assert (ctx.case, ctx.nu) == ("zero", None)
+    assert j_coefficient(lam, phi, rho).is_zero()
+    pt = sample_point(P, random.Random(3), (), range(-3, 4))
+    assert j_numeric(lam, phi, rho, pt) == 0
+
+
+def test_incompatible_flag_refused_even_when_rho_not_contained():
+    lam, phi, rho = Partition((1, 1)), Flag((1, 5)), Partition((2,))
+    pt = sample_point(P, random.Random(3), (), range(-3, 4))
+    for call in (lambda: build_context(lam, phi, rho),
+                 lambda: j_coefficient(lam, phi, rho),
+                 lambda: j_numeric(lam, phi, rho, pt)):
+        with pytest.raises(ValueError, match="compatible"):
+            call()
+
+
+def test_theorem_suite_derives_nu_once_per_triple(monkeypatch):
+    calls: dict[tuple, int] = {}
+
+    def counted(lam, phi, rho):
+        key = (lam, phi, rho)
+        calls[key] = calls.get(key, 0) + 1
+        return unique_nu(lam, phi, rho)
+
+    build_context.cache_clear()
+    monkeypatch.setattr(pipeline, "unique_nu", counted)
+    report = verify_identities("theorem", max_size=3, trials=3)
+    assert report["ok"] and calls
+    assert max(calls.values()) == 1
 
 
 def test_j_of_permutation():
