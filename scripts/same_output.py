@@ -9,6 +9,10 @@ tree, and prints every command whose stdout or exit code differs:
   (`bench/workloads.LADDER`, read from the working tree);
 - `egc j` on a structural zero with rho inside lambda, on rho outside
   lambda, and on an incompatible flag (exit 1);
+- `egc j --format json` on the two inputs of
+  `tests/test_pipeline.INCOMPATIBLE_XI` that are not ladder rungs, where
+  the raw conjugate flag is incompatible with nu' and `xi_flag` falls back
+  to the caps;
 - `egc verify --suite all --max-size 3 --seed 0 --format json`;
 - `egc verify --suite decompose --trials 0 --max-size 4 --flag-range -2:3
   --window -2:3 --format json`, the exhaustive split/merge bijection on
@@ -42,6 +46,10 @@ OTHERS = [
     ["j", "--lambda", "1", "--phi", "0", "--rho", "", "--format", "json"],
     ["j", "--lambda", "1", "--phi", "1", "--rho", "2"],
     ["j", "--lambda", "1,1", "--phi", "1,5", "--rho", "1"],
+    ["j", "--lambda", "5,3,1", "--phi", "-4,-1,2", "--rho", "5,2,1",
+     "--format", "json"],
+    ["j", "--lambda", "7,3", "--phi", "-6,-3", "--rho", "4,2", "--format",
+     "json"],
     ["verify", "--suite", "all", "--max-size", "3", "--seed", "0",
      "--format", "json"],
     ["verify", "--suite", "decompose", "--trials", "0", "--max-size", "4",

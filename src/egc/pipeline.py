@@ -46,25 +46,6 @@ def _vanishes(outer: Partition, inner: Partition, phi: Flag) -> bool:
         any(phi.entry(r) == 0 for r in props.rows_occupied)
 
 
-def unique_nu(lam: Partition, phi: Flag, rho: Partition) -> Partition | None:
-    """The only middle partition through which the coefficient can factor;
-    None when the coefficient vanishes structurally."""
-    if not is_compatible(lam, phi):
-        raise ValueError(f"flag {phi} not compatible with {lam}")
-    if not lam.contains(rho):
-        raise ValueError(f"rho {rho} not contained in lambda {lam}")
-    if _vanishes(lam, rho, phi):
-        return None
-    nu_p = Partition(tuple(lam.part(r) if phi.entry(r) <= 0 else rho.part(r)
-                           for r in range(1, len(lam) + 1)))
-    if not (nu_p.contains(rho) and lam.contains(nu_p)):
-        raise RuntimeError(f"nu {nu_p} not between rho {rho} and lambda {lam}")
-    phi_minus, _ = flag_split(phi)
-    if not is_compatible(nu_p, Flag(phi_minus.bounds[:len(nu_p)])):
-        raise RuntimeError(f"flag {phi_minus} not compatible with nu {nu_p}")
-    return nu_p
-
-
 def _psi_and_pis(lam: Partition, phi: Flag) -> tuple[Flag, list[Permutation]]:
     """psi and the value-shifting permutations pi_0..pi_ell, for a
     nonnegative flag compatible with lam."""
@@ -145,17 +126,10 @@ def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
     return GrahamSum(total, nu.size - lam.size)
 
 
-def j_minus(nu: Partition, phi_minus: Flag, rho: Partition) -> GrahamSum:
-    """Computed through the conjugate-side positive machinery and the
+def j_minus(nu_c: Partition, xi: Flag, rho_c: Partition) -> GrahamSum:
+    """j_- on its conjugate half (nu', xi, rho'): j_plus there, then the
     variable reversal omega_1 (Type 1 factors become Type 2)."""
-    if any(b > 0 for b in phi_minus):
-        raise ValueError(f"flag {phi_minus} has a positive entry")
-    if len(phi_minus) != len(nu):
-        raise ValueError(f"flag length {len(phi_minus)} != partition "
-                         f"length {len(nu)}")
-    if not nu.contains(rho):
-        raise ValueError(f"rho {rho} not contained in nu {nu}")
-    inner = j_plus(nu.conjugate(), xi_flag(nu, phi_minus), rho.conjugate())
+    inner = j_plus(nu_c, xi, rho_c)
     # omega_1 is an involution on factors: distinct monomials stay distinct
     return GrahamSum({tuple(sorted(map(omega1_code, k))): c
                       for k, c in inner.terms.items()}, inner.beta_exp)
@@ -169,30 +143,47 @@ class PipelineContext:
     q: int
     nu: Partition | None
     case: str  # "zero" | "nonpositive" | "nonnegative" | "both"
-    phi_minus: Flag | None  # cut to len(nu); None when nu is None
-    phi_plus: Flag | None  # None when nu is None
+    # j = j_minus(*lower) * j_plus(*upper); both None when nu is None
+    upper: tuple[Partition, Flag, Partition] | None  # (lam, phi_+, nu)
+    lower: tuple[Partition, Flag, Partition] | None  # (nu', xi, rho')
 
 
 @lru_cache(maxsize=64)
 def build_context(lam: Partition, phi: Flag, rho: Partition) -> PipelineContext:
     """The one record of a coefficient input: a flag incompatible with lam
-    raises ValueError, and rho outside lam is structurally zero.  Cached,
-    so that both routes on the same triple derive nu once."""
+    raises ValueError, and rho outside lam is structurally zero.  Else nu
+    is the only middle partition the coefficient can factor through, and
+    both routes on the triple read nu and xi from this cached record."""
     if not is_compatible(lam, phi):
         raise ValueError(f"flag {phi} not compatible with {lam}")
     q = q_of(lam)
-    nu = unique_nu(lam, phi, rho) if lam.contains(rho) else None
-    if nu is None:
+    if not lam.contains(rho) or _vanishes(lam, rho, phi):
         return PipelineContext(lam, phi, rho, q, None, "zero", None, None)
+    nu = Partition(tuple(lam.part(r) if phi.entry(r) <= 0 else rho.part(r)
+                         for r in range(1, len(lam) + 1)))
+    if not (nu.contains(rho) and lam.contains(nu)):
+        raise RuntimeError(f"nu {nu} not between rho {rho} and lambda {lam}")
+    phi_minus, phi_plus = flag_split(phi)
+    phi_minus = Flag(phi_minus.bounds[:len(nu)])
+    if not is_compatible(nu, phi_minus):
+        raise RuntimeError(f"flag {phi_minus} not compatible with nu {nu}")
     if q == 0 or phi.entry(q) == 0:
         case = "both"
     elif phi.entry(q) < 0:
         case = "nonpositive"
     else:
         case = "nonnegative"
-    phi_minus, phi_plus = flag_split(phi)
-    return PipelineContext(lam, phi, rho, q, nu, case,
-                           Flag(phi_minus.bounds[:len(nu)]), phi_plus)
+    return PipelineContext(lam, phi, rho, q, nu, case, (lam, phi_plus, nu),
+                           (nu.conjugate(), xi_flag(nu, phi_minus),
+                            rho.conjugate()))
+
+
+def unique_nu(lam: Partition, phi: Flag, rho: Partition) -> Partition | None:
+    """build_context's nu, with rho outside lam refused (ValueError)."""
+    ctx = build_context(lam, phi, rho)
+    if not lam.contains(rho):
+        raise ValueError(f"rho {rho} not contained in lambda {lam}")
+    return ctx.nu
 
 
 def j_coefficient(lam: Partition, phi: Flag, rho: Partition) -> GrahamSum:
@@ -202,8 +193,7 @@ def j_coefficient(lam: Partition, phi: Flag, rho: Partition) -> GrahamSum:
     ctx = build_context(lam, phi, rho)
     if ctx.nu is None:
         return GrahamSum.zero()
-    raw = j_minus(ctx.nu, ctx.phi_minus, rho) \
-        * j_plus(lam, ctx.phi_plus, ctx.nu)
+    raw = j_minus(*ctx.lower) * j_plus(*ctx.upper)
     if raw.beta_exp + lam.size - rho.size != 0:
         raise RuntimeError("the beta exponent differs from the factor count")
     return GrahamSum(raw.terms)
@@ -233,12 +223,6 @@ def j_plus_numeric(lam: Partition, phi_plus: Flag, nu: Partition,
         for mu in _disconnected_inners(nu)) % p
 
 
-def j_minus_numeric(nu: Partition, phi_minus: Flag, rho: Partition,
-                    point: EvaluationPoint) -> int:
-    xi = xi_flag(nu, phi_minus)
-    return j_plus_numeric(nu.conjugate(), xi, rho.conjugate(), point.omega1())
-
-
 def j_numeric(lam: Partition, phi: Flag, rho: Partition,
               point: EvaluationPoint) -> int:
     """Raw (unnormalized) coefficient through the unique middle partition,
@@ -247,5 +231,5 @@ def j_numeric(lam: Partition, phi: Flag, rho: Partition,
     if ctx.nu is None:
         return 0
     pt = point.with_x_to_y()
-    minus = j_minus_numeric(ctx.nu, ctx.phi_minus, rho, pt)
-    return minus * j_plus_numeric(lam, ctx.phi_plus, ctx.nu, pt) % point.prime
+    return j_plus_numeric(*ctx.lower, pt.omega1()) \
+        * j_plus_numeric(*ctx.upper, pt) % point.prime

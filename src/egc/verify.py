@@ -109,7 +109,7 @@ def _decompose_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
     # enumeration is exponential in the shape, so the bijection part stays
     # on small shapes; the sampled identities below scale further.
     run_bijection = lam.size <= 4
-    phi_minus, _ = flag_split(phi)
+    phi_minus, phi_plus = flag_split(phi)
     if run_bijection:
         left: dict[tuple, int] = {}
         for t in enumerate_tableaux(EnumSpec(shape, phi, "any", window)):
@@ -144,7 +144,7 @@ def _decompose_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
     for _ in range(trials):
         pt = sample_point(prime, rng, range(1, whi + 1), range(1, whi + 1))
         lhs = g_eval(shape, phi, "any", pt, (wlo, whi))
-        for skew_flag in (phi, flag_split(phi)[1]):
+        for skew_flag in (phi, phi_plus):
             rhs = 0
             for nu in subpartitions(lam):
                 outer = g_eval(SkewShape(nu), phi_minus, "nonpositive", pt,

@@ -96,13 +96,16 @@ def test_j_plus_fixtures():
 
 
 def test_j_minus_fixtures():
-    assert j_minus(Partition((1, 1)), Flag((-2, -1)), Partition((1,))) == \
+    # j_minus takes the conjugate half (nu', xi, rho') of build_context
+    assert j_minus(Partition((2,)), Flag((1,)), Partition((1,))) == \
         gsum({mono((-1, 0)): 1}, -1)
     # the self-coefficient keeps a 1 plus honest beta-degree corrections
-    assert j_minus(Partition((2, 1)), Flag((-1, 0)), Partition((2, 1))) == \
+    assert j_minus(Partition((2, 1)), Flag((0, 1)), Partition((2, 1))) == \
         gsum({mono(): 1, mono((1, 0)): 1})
     assert j_minus(Partition((1,)), Flag((0,)), Partition((1,))) == \
         GrahamSum.one()
+    ctx = build_context(Partition((1, 1)), Flag((-2, -1)), Partition((1,)))
+    assert ctx.lower == (Partition((2,)), Flag((1,)), Partition((1,)))
 
 
 def test_j_coefficient_fixtures():
@@ -171,31 +174,42 @@ def test_j_coefficient_rho_not_contained():
     assert j_coefficient(lam, phi, rho).is_zero()
     pt = sample_point(P, random.Random(3), (), range(-3, 4))
     assert j_numeric(lam, phi, rho, pt) == 0
+    with pytest.raises(ValueError, match="not contained"):
+        unique_nu(lam, phi, rho)
 
 
 def test_incompatible_flag_refused_even_when_rho_not_contained():
     lam, phi, rho = Partition((1, 1)), Flag((1, 5)), Partition((2,))
     pt = sample_point(P, random.Random(3), (), range(-3, 4))
     for call in (lambda: build_context(lam, phi, rho),
+                 lambda: unique_nu(lam, phi, rho),
                  lambda: j_coefficient(lam, phi, rho),
                  lambda: j_numeric(lam, phi, rho, pt)):
         with pytest.raises(ValueError, match="compatible"):
             call()
 
 
-def test_theorem_suite_derives_nu_once_per_triple(monkeypatch):
-    calls: dict[tuple, int] = {}
+def test_theorem_suite_derives_nu_and_xi_once_per_triple(monkeypatch):
+    contexts: dict[tuple, object] = {}
+    xi_calls = 0
+    real_context, real_xi = pipeline.build_context, pipeline.xi_flag
 
-    def counted(lam, phi, rho):
-        key = (lam, phi, rho)
-        calls[key] = calls.get(key, 0) + 1
-        return unique_nu(lam, phi, rho)
+    def context(lam, phi, rho):
+        contexts[lam, phi, rho] = real_context(lam, phi, rho)
+        return contexts[lam, phi, rho]
+
+    def xi(nu, phi_minus):
+        nonlocal xi_calls
+        xi_calls += 1
+        return real_xi(nu, phi_minus)
 
     build_context.cache_clear()
-    monkeypatch.setattr(pipeline, "unique_nu", counted)
+    monkeypatch.setattr(pipeline, "build_context", context)
+    monkeypatch.setattr(pipeline, "xi_flag", xi)
     report = verify_identities("theorem", max_size=3, trials=3)
-    assert report["ok"] and calls
-    assert max(calls.values()) == 1
+    assert report["ok"] and contexts
+    assert real_context.cache_info().misses == len(contexts)
+    assert xi_calls == sum(1 for c in contexts.values() if c.nu is not None)
 
 
 def test_j_of_permutation():
