@@ -3,10 +3,10 @@
 
 For every vexillary permutation with support in [-2, 3] (plus the
 Grassmannian elements w_lambda for |lambda| <= 3, all of which lie in that
-range), evaluates both the shifted-polynomial approximation and the flagged
-tableau sum at the shared sweep points and records the common values.
-Aborts if any instance disagrees, so a committed fixture file is itself a
-passing run.
+range), evaluates both the backstable approximation (by the orbit engine)
+and the flagged tableau sum at the shared sweep points and records the
+common values.  Aborts if any instance disagrees, so a committed fixture
+file is itself a passing run.
 
 Usage: python3 scripts/make_gvex_fixtures.py [output.json]
 """
@@ -35,7 +35,7 @@ def main(out_path: Path) -> None:
         window = None
         for pt in points:
             window = default_window(shape, csf.flag, "any", pt)
-            lhs = backstable_approx(w, GVEX_P0, pt, n=GVEX_N, method="orbit")
+            lhs = backstable_approx(w, GVEX_P0, pt, n=GVEX_N)
             rhs = g_eval(shape, csf.flag, "any", pt, window)
             if lhs != rhs:
                 raise SystemExit(f"disagreement for {w}: {lhs} != {rhs}")

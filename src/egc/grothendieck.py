@@ -2,11 +2,11 @@
 functions, divided-difference Grothendieck polynomials, and the backstable
 comparison checks.
 
-g_eval has two independent paths: `field_sum`, the transfer-matrix DP of
-tableaux.tableau_sum over F_p (the default; exponentially faster on wide
-shapes), which the symbolic coefficient pipeline shares, and direct tableau
-enumeration (method="enum"), the oracle that checks it in the test suite
-and, through the omega suite, in `egc verify`.
+Each value has two independent routes, one function each.  g_eval sums by
+`field_sum`, the F_p transfer DP of tableaux.tableau_sum that the symbolic
+pipeline shares; `enum_sum` enumerates tableaux, its oracle in the tests.
+The backstable approximation is read off the orbit engine by
+`backstable_approx` and off the expanded polynomial by `backstable_poly`.
 """
 
 from __future__ import annotations
@@ -64,17 +64,10 @@ def default_window(shape: SkewShape, flag: Flag | None, sign: str,
     return (min(lo, hi), hi)
 
 
-def _enum_eval(spec: EnumSpec, point: EvaluationPoint) -> int:
-    total = 0
-    for t in enumerate_tableaux(spec):
-        total = (total + weight_eval(t, point)) % point.prime
-    return total
-
-
 def g_eval(shape: SkewShape, flag: Flag | None, sign: str,
-           point: EvaluationPoint, window: tuple[int, int] | None = None,
-           method: str = "dp") -> int:
-    """Sum of tableau weights over the admissible fillings of the shape."""
+           point: EvaluationPoint, window: tuple[int, int] | None = None
+           ) -> int:
+    """Sum of tableau weights over the admissible fillings, by field_sum."""
     if window is None:
         window = default_window(shape, flag, sign, point)
     elif sign != "positive":
@@ -83,10 +76,7 @@ def g_eval(shape: SkewShape, flag: Flag | None, sign: str,
             raise ValueError(
                 f"window {window} insufficient: values down to {dead} can "
                 "contribute at this point")
-    spec = EnumSpec(shape, flag, sign, window)
-    if method == "enum":
-        return _enum_eval(spec, point)
-    return field_sum(spec, point)
+    return field_sum(EnumSpec(shape, flag, sign, window), point)
 
 
 def field_sum(spec: EnumSpec, point: EvaluationPoint) -> int:
@@ -98,6 +88,12 @@ def field_sum(spec: EnumSpec, point: EvaluationPoint) -> int:
         lambda m, d: point.ominus(point.x_val(m), point.y_val(m + d)))
     field = Semiring(0, 1, lambda a, b: (a + b) % p, lambda a, b: a * b % p)
     return tableau_sum(spec, field, f, lambda m, d: (1 + beta * f(m, d)) % p)
+
+
+def enum_sum(spec: EnumSpec, point: EvaluationPoint) -> int:
+    """field_sum's value by enumerating the tableaux: its oracle."""
+    return sum(weight_eval(t, point) for t in enumerate_tableaux(spec)) \
+        % point.prime
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +116,6 @@ def _top_product(n: int, yvals, beta: int, prime: int) -> SparsePoly:
     return f
 
 
-def _w0(n: int) -> Permutation:
-    return Permutation(1, tuple(range(n, 0, -1)))
-
-
 def grothendieck_poly(w: Permutation, n: int, point: EvaluationPoint,
                       word: tuple[int, ...] | None = None) -> SparsePoly:
     """The double beta-Grothendieck polynomial of w in x_1..x_n, with y and
@@ -133,7 +125,7 @@ def grothendieck_poly(w: Permutation, n: int, point: EvaluationPoint,
     beta, prime = point.beta, point.prime
     yvals = [point.y_val(j) for j in range(1, n)]
     f = _top_product(n, yvals, beta, prime)
-    v = w.inverse() * _w0(n)
+    v = w.inverse() * Permutation(1, tuple(range(n, 0, -1)))  # w^{-1} w_0
     if word is None:
         word = v.reduced_word()
     else:
@@ -289,55 +281,66 @@ def _orbit_table(xs, ys, beta, prime):
 # Backstable approximation and the vexillary comparison
 
 
-def backstable_approx(w: Permutation, p: int, point: EvaluationPoint,
-                      n: int | None = None, method: str = "auto") -> int:
-    """Evaluate the shifted polynomial gamma^{-p} 𝔊_{iota^p(w)} at the point:
-    x_i and y_j of the ambient polynomial read the point at index i-p, j-p."""
+def _ambient(w: Permutation, p: int, n: int | None):
+    """iota^p(w) and its number n of variables, by default the fewest >= 2."""
     if p < 0:
         raise ValueError("shift p must be nonnegative")
     w2 = w.iota(p)
     if w2.images and w2.lo < 1:
         raise ValueError(f"p={p} too small: iota^p(w) has support below 1")
     if n is None:
-        n = max(w2.window_hi if w2.images else 1, 2)
-    elif w2.images and n < w2.window_hi:
+        return w2, max(w2.window_hi if w2.images else 1, 2)
+    if w2.images and n < w2.window_hi:
         raise ValueError(f"n={n} too small for support of iota^p(w)")
-    xs = tuple(point.x_val(i - p) for i in range(1, n + 1))
-    ys = tuple(point.y_val(j - p) for j in range(1, n))
-    if method == "auto":
-        method = "poly" if n <= 6 else "orbit"
-    if method == "poly":
-        shifted = EvaluationPoint.make(
-            point.prime, point.beta, {}, {j: ys[j - 1] for j in range(1, n)})
-        f = grothendieck_poly(w2, n, shifted)
-        return f.evaluate(xs)
-    table = _orbit_table(xs, ys, point.beta, point.prime)
-    return table.value(w2)
+    return w2, n
 
 
-def gvex_checker(w: Permutation, p: int = 0, n: int | None = None,
-                 method: str = "auto") -> Callable[[EvaluationPoint], bool]:
-    """A check of the backstable approximation of 𝔊_w against the flagged
-    tableau sum for (shape(w), flag(w)) under the same specialization.
-    w's shape, flag and support are read once, and the returned function
-    compares at one point.
+def _shifted(w: Permutation, p: int, point: EvaluationPoint, n: int | None):
+    """Both routes' prelude: iota^p(w), x_{1-p..n-p} and y_{1-p..n-1-p}."""
+    w2, n = _ambient(w, p, n)
+    return (w2, tuple(point.x_val(i - p) for i in range(1, n + 1)),
+            tuple(point.y_val(j - p) for j in range(1, n)))
+
+
+def backstable_approx(w: Permutation, p: int, point: EvaluationPoint,
+                      n: int | None = None) -> int:
+    """Evaluate the shifted polynomial gamma^{-p} 𝔊_{iota^p(w)} at the point
+    by the orbit engine (distinct x values, n <= ORBIT_MAX_N): x_i and y_j of
+    the ambient polynomial read the point at index i-p, j-p."""
+    w2, xs, ys = _shifted(w, p, point, n)
+    return _orbit_table(xs, ys, point.beta, point.prime).value(w2)
+
+
+def backstable_poly(w: Permutation, p: int, point: EvaluationPoint,
+                    n: int | None = None) -> int:
+    """backstable_approx's value by expanding the divided-difference
+    polynomial: any prime, repeated x values allowed."""
+    w2, xs, ys = _shifted(w, p, point, n)
+    shifted = EvaluationPoint.make(point.prime, point.beta, {},
+                                   dict(enumerate(ys, 1)))
+    return grothendieck_poly(w2, len(xs), shifted).evaluate(xs)
+
+
+def gvex_checker(w: Permutation, p: int = 0, n: int | None = None
+                 ) -> Callable[[EvaluationPoint], bool]:
+    """A check of backstable_approx of 𝔊_w against the flagged tableau sum
+    for (shape(w), flag(w)) under the same specialization.  w's shape, flag
+    and support are read once, and the returned function compares at one
+    point.
 
     Heuristic at finite p: the point's x-support must lie inside the index
     range the shifted polynomial can see, [1-p, n-p]."""
     csf = code_shape_flag(w)  # raises ValueError unless w is vexillary
     shape, flag = SkewShape(csf.shape), csf.flag
-    w2 = w.iota(p)
-    if w2.images and w2.lo < 1:
-        raise ValueError(f"p={p} too small for support of w")
-    nn = n if n is not None else max(w2.window_hi if w2.images else 1, 2)
+    n = _ambient(w, p, n)[1]
 
     def check(point: EvaluationPoint) -> bool:
         if point.x_support and min(point.x_support) < 1 - p:
             raise ValueError(f"x-support extends below 1-p = {1 - p}")
-        if point.x_support and max(point.x_support) > nn - p:
-            raise ValueError(f"x-support extends above n-p = {nn - p}")
-        lhs = backstable_approx(w, p, point, n=n, method=method)
-        return lhs == g_eval(shape, flag, "any", point)
+        if point.x_support and max(point.x_support) > n - p:
+            raise ValueError(f"x-support extends above n-p = {n - p}")
+        return backstable_approx(w, p, point, n) == \
+            g_eval(shape, flag, "any", point)
 
     return check
 

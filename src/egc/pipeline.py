@@ -7,7 +7,7 @@ tableau-sum evaluations with x substituted by y, and the two cross-check
 each other.  Both routes sum over tableaux with the one transfer DP,
 tableaux.tableau_sum: the symbolic route over factor multisets, the numeric
 route over F_p.  That kernel is checked in turn against tableau enumeration
-(g_eval's method="enum" and the oracle tests).
+(grothendieck.enum_sum, in the oracle tests).
 
 The symbolic route never rebuilds a monomial.  The DP emits each factor
 (i, j) as its int code (ring.factor_code, whose plain order is the
@@ -108,9 +108,6 @@ def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
     """Sum over inner shapes mu <= nu with nu/mu disconnected; each summand
     is assembled from the diagonal split of lambda/mu: cells above the
     diagonal give factors (i, i+c-r), cells below give (pi(i), i+c-r)."""
-    if len(phi_plus) != len(lam):
-        raise ValueError(f"flag length {len(phi_plus)} != partition "
-                         f"length {len(lam)}")
     if not lam.contains(nu):
         raise ValueError(f"nu {nu} not contained in lambda {lam}")
     psi, pis = _psi_and_pis(lam, phi_plus)  # validates the flag

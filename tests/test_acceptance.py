@@ -185,7 +185,7 @@ def test_criterion_8_backstable_sweep_fixture():
         window = tuple(rec["window"])
         assert rec["p0"] >= 1  # per-instance recorded shift
         for pt, expect in zip(points, rec["values"]):
-            lhs = backstable_approx(w, rec["p0"], pt, n=n, method="orbit")
+            lhs = backstable_approx(w, rec["p0"], pt, n=n)
             rhs = g_eval(shape, flag, "any", pt, window)
             assert lhs == expect and rhs == expect
 

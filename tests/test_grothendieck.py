@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from egc import grothendieck
 from egc.grothendieck import (ORBIT_PRIME, OrbitTable, backstable_approx,
-                              default_window, g_eval, grothendieck_poly,
+                              backstable_poly, default_window, enum_sum,
+                              field_sum, g_eval, grothendieck_poly,
                               gvex_checker)
-from egc.perms import Permutation, from_partition
+from egc.perms import Permutation, code_shape_flag, from_partition
 from egc.ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, ominus,
                       sample_point)
 from egc.shapes import Flag, Partition, SkewShape, subpartitions
-from egc.verify import partitions_up_to
+from egc.tableaux import EnumSpec
+from egc.verify import all_vexillary, partitions_up_to
 
 P = DEFAULT_PRIME
 
@@ -46,9 +48,8 @@ def test_dp_matches_enumeration():
             flag = Flag(tuple(range(1, len(parts) + 1))) \
                 if sign == "positive" else None
             pt = sample_point(P, rng, range(1, 3), range(1, 3))
-            a = g_eval(shape, flag, sign, pt, window, method="dp")
-            b = g_eval(shape, flag, sign, pt, window, method="enum")
-            assert a == b
+            spec = EnumSpec(shape, flag, sign, window)
+            assert field_sum(spec, pt) == enum_sum(spec, pt)
 
 
 def test_insufficient_window_rejected():
@@ -203,22 +204,36 @@ def test_backstable_shift():
     # w = s_0 at p=1 reads x_0 (-) y_0
     rng = random.Random(12)
     pt = sample_point(P, rng, {0}, {0})
-    val = backstable_approx(Permutation.s(0), 1, pt)
+    val = backstable_poly(Permutation.s(0), 1, pt)
     assert val == ominus(pt.x_val(0), pt.y_val(0), pt.beta, P)
-    assert backstable_approx(Permutation.s(1), 0, pt) == \
+    assert backstable_poly(Permutation.s(1), 0, pt) == \
         ominus(pt.x_val(1), pt.y_val(1), pt.beta, P)
-    with pytest.raises(ValueError):
-        backstable_approx(Permutation.s(0), 0, pt)
+    for route in (backstable_poly, backstable_approx):
+        with pytest.raises(ValueError):
+            route(Permutation.s(0), 0, pt)
+
+
+def test_backstable_routes_agree():
+    # the orbit engine against the expanded polynomial, through the shift
+    rng = random.Random(20)
+    for w in rng.sample([w for w in all_vexillary(-1, 2) if w.images], 12):
+        p = max(1, 1 - w.lo) + rng.randrange(2)
+        n = rng.randrange(w.window_hi + p, 7)
+        pt = sample_point(ORBIT_PRIME, rng, range(1 - p, n - p + 1),
+                          range(1 - p, n - p), distinct_x=True)
+        assert backstable_approx(w, p, pt, n) == backstable_poly(w, p, pt, n)
 
 
 def test_gvex_check_small():
     rng = random.Random(13)
-    for _ in range(3):
+    csf = code_shape_flag(Permutation.s(0))
+    for _ in range(3):  # the polynomial route, at a prime past the orbit's
         pt = sample_point(P, rng, range(-2, 3), range(-2, 3))
-        assert gvex_checker(Permutation.s(0), 3, 6, "poly")(pt)
+        assert backstable_poly(Permutation.s(0), 3, pt, 6) == \
+            g_eval(SkewShape(csf.shape), csf.flag, "any", pt)
     w = Permutation.from_one_line((3, 4, 5, 1, 6, 2), 1)
     pt = sample_point(ORBIT_PRIME, rng, range(1, 7), (1, 2), distinct_x=True)
-    assert gvex_checker(w, 0, 6, "orbit")(pt)
+    assert gvex_checker(w, 0, 6)(pt)
 
 
 def test_gvex_grassmannian():
@@ -229,7 +244,7 @@ def test_gvex_grassmannian():
         n = w.window_hi + p0
         pt = sample_point(ORBIT_PRIME, rng, range(1 - p0, n - p0 + 1), (1, 2),
                           distinct_x=True)
-        assert gvex_checker(w, p0, n, "orbit")(pt)
+        assert gvex_checker(w, p0, n)(pt)
 
 
 def test_gvex_rejects_non_vexillary():
@@ -238,16 +253,17 @@ def test_gvex_rejects_non_vexillary():
         gvex_checker(Permutation.from_word((1, 2, -1, 0)))(pt)
 
 
-@pytest.mark.parametrize("method", ["dp", "enum"])
-def test_invalid_spec_rejected_by_both_paths(method):
+@pytest.mark.parametrize("route", [field_sum, enum_sum], ids=["dp", "enum"])
+def test_invalid_spec_rejected_by_both_paths(route):
     shape = SkewShape(Partition((2, 1)))
     pt = sample_point(10007, random.Random(15), range(1, 3), range(-1, 4))
     with pytest.raises(ValueError):
-        g_eval(shape, Flag((1, 2)), "postive", pt, (-2, 2), method=method)
+        route(EnumSpec(shape, Flag((1, 2)), "postive", (-2, 2)), pt)
     with pytest.raises(ValueError):  # row 2 is occupied, the flag stops at 1
-        g_eval(shape, Flag((1,)), "any", pt, (-2, 2), method=method)
+        route(EnumSpec(shape, Flag((1,)), "any", (-2, 2)), pt)
     with pytest.raises(ValueError):  # the same, with the default window
-        g_eval(shape, Flag((1,)), "any", pt, method=method)
+        route(EnumSpec(shape, Flag((1,)), "any",
+                       default_window(shape, Flag((1,)), "any", pt)), pt)
 
 
 SMALL_SKEW = [SkewShape(lam, mu) for lam in partitions_up_to(6)
@@ -282,5 +298,5 @@ def test_dp_matches_enumeration_property(shape, bounds, flagged, sign, ends,
     pt = sample_point(10007, random.Random(seed),
                       range(window[0], window[1] + 1),
                       range(window[0] + d_max, window[1] + d_max + 1))
-    assert g_eval(shape, flag, sign, pt, window, method="dp") == \
-        g_eval(shape, flag, sign, pt, window, method="enum")
+    spec = EnumSpec(shape, flag, sign, window)
+    assert field_sum(spec, pt) == enum_sum(spec, pt)

@@ -165,6 +165,8 @@ def test_positive_machinery_requires_compatible_flag():
         pi_algorithm(lam, phi)
     with pytest.raises(ValueError, match="compatible"):
         j_plus(lam, phi, Partition((2, 2, 2, 1, 1)))
+    with pytest.raises(ValueError, match="flag length"):
+        j_plus(Partition((2, 1)), Flag((1,)), Partition((1,)))
 
 
 def test_j_coefficient_rho_not_contained():
