@@ -27,15 +27,10 @@ from .grothendieck import g_eval
 from .perms import Permutation, code_shape_flag
 from .ring import (EvaluationPoint, GrahamSum, add_terms, factor_code,
                    mul_terms, omega1_code)
-from .shapes import (Flag, Partition, SkewShape, diagonal_split, flag_split,
-                     is_compatible, psi_flag, skew_props, subpartitions,
-                     xi_flag)
+from .shapes import (Flag, Partition, SkewShape, diagonal_split,
+                     disconnected_inners, flag_split, is_compatible, psi_flag,
+                     q_of, skew_props, xi_flag)
 from .tableaux import EnumSpec, Semiring, tableau_sum
-
-
-def q_of(lam: Partition) -> int:
-    """Largest q with (q,q) a cell of lam (0 for the empty partition)."""
-    return sum(1 for r, part in enumerate(lam, start=1) if part >= r)
 
 
 def _vanishes(outer: Partition, inner: Partition, phi: Flag) -> bool:
@@ -83,13 +78,6 @@ def chi_flags(lam: Partition, phi: Flag) -> list[Flag]:
     return [Flag(psi.bounds[:i] + phi.bounds[i:]) for i in range(len(lam) + 1)]
 
 
-@lru_cache(maxsize=1024)
-def _disconnected_inners(nu: Partition) -> tuple[Partition, ...]:
-    """The mu <= nu with nu/mu disconnected, in subpartitions order."""
-    return tuple(mu for mu in subpartitions(nu)
-                 if skew_props(nu.parts, mu.parts).is_disconnected)
-
-
 # multiplicities of factor multisets, each a sorted tuple of factor codes
 FACTOR_SUMS = Semiring({}, {(): 1}, add_terms, mul_terms)
 
@@ -113,7 +101,7 @@ def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
     psi, pis = _psi_and_pis(lam, phi_plus)  # validates the flag
     pi = pis[-1]
     total = FACTOR_SUMS.zero
-    for mu in _disconnected_inners(nu):
+    for mu in disconnected_inners(nu):
         if _vanishes(lam, mu, phi_plus):
             continue
         upper, lower = diagonal_split(SkewShape(lam, mu))
@@ -134,9 +122,6 @@ def j_minus(nu_c: Partition, xi: Flag, rho_c: Partition) -> GrahamSum:
 
 @dataclass(frozen=True)
 class PipelineContext:
-    lam: Partition
-    phi: Flag
-    rho: Partition
     q: int
     nu: Partition | None
     case: str  # "zero" | "nonpositive" | "nonnegative" | "both"
@@ -155,7 +140,7 @@ def build_context(lam: Partition, phi: Flag, rho: Partition) -> PipelineContext:
         raise ValueError(f"flag {phi} not compatible with {lam}")
     q = q_of(lam)
     if not lam.contains(rho) or _vanishes(lam, rho, phi):
-        return PipelineContext(lam, phi, rho, q, None, "zero", None, None)
+        return PipelineContext(q, None, "zero", None, None)
     nu = Partition(tuple(lam.part(r) if phi.entry(r) <= 0 else rho.part(r)
                          for r in range(1, len(lam) + 1)))
     if not (nu.contains(rho) and lam.contains(nu)):
@@ -170,7 +155,7 @@ def build_context(lam: Partition, phi: Flag, rho: Partition) -> PipelineContext:
         case = "nonpositive"
     else:
         case = "nonnegative"
-    return PipelineContext(lam, phi, rho, q, nu, case, (lam, phi_plus, nu),
+    return PipelineContext(q, nu, case, (lam, phi_plus, nu),
                            (nu.conjugate(), xi_flag(nu, phi_minus),
                             rho.conjugate()))
 
@@ -217,7 +202,7 @@ def j_plus_numeric(lam: Partition, phi_plus: Flag, nu: Partition,
     p = point.prime
     return sum(pow(point.beta, nu.size - mu.size, p) * g_eval(
         SkewShape(lam, mu), phi_plus, "positive", point, window)
-        for mu in _disconnected_inners(nu)) % p
+        for mu in disconnected_inners(nu)) % p
 
 
 def j_numeric(lam: Partition, phi: Flag, rho: Partition,

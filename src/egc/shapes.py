@@ -182,26 +182,38 @@ def skew_props(outer: tuple[int, ...], inner: tuple[int, ...]) -> SkewProps:
         all(w <= min(up, 1) for _, w, up in rows))
 
 
+def q_of(lam: Partition) -> int:
+    """Largest q with (q,q) a cell of lam (0 for the empty partition)."""
+    return sum(1 for r, part in enumerate(lam, start=1) if part >= r)
+
+
+@lru_cache(maxsize=1024)
+def disconnected_inners(nu: Partition) -> tuple[Partition, ...]:
+    """The mu <= nu with nu/mu disconnected, in subpartitions order."""
+    return tuple(mu for mu in subpartitions(nu)
+                 if skew_props(nu.parts, mu.parts).is_disconnected)
+
+
 def diagonal_split(shape: SkewShape) -> tuple[SkewShape, SkewShape]:
-    """Separate a diagonal-free skew shape into its strictly-upper and
-    strictly-lower parts, each again a skew shape of the same outer partition."""
-    lam, mu = shape.outer, shape.inner
+    """Separate a diagonal-free skew shape lam/mu into its strictly-upper and
+    strictly-lower parts: the cut between rows q = q_of(lam) and q + 1.  A
+    row r <= q has mu_r >= r (else (r,r) is a cell), so c > r in it; a row
+    r > q has lam_r < r, so c < r.  Both parts keep the outer lam, so each
+    of their rows ends in column lam_r, as the shape's does."""
     if shape.props.has_diagonal_cell:
         raise ValueError(f"shape {shape} has a diagonal cell")
-    mu_up, mu_down = [], []
-    for r in range(1, len(lam) + 1):
-        lr, mr = lam.part(r), mu.part(r)
-        # upper part keeps cells with c > r, lower part cells with c < r
-        mu_up.append(mr if lr > r else lr)
-        mu_down.append(mr if mr < min(lr, r) else lr)
-    upper = SkewShape(lam, Partition(mu_up))
-    lower = SkewShape(lam, Partition(mu_down))
-    up_cells, down_cells = set(upper.cells()), set(lower.cells())
-    if not up_cells.isdisjoint(down_cells):
+    lam, q = shape.outer.parts, q_of(shape.outer)
+    mu = shape.inner.parts + (0,) * (len(lam) - len(shape.inner))
+    upper = SkewShape(shape.outer, Partition(mu[:q] + lam[q:]))
+    lower = SkewShape(shape.outer, Partition(lam[:q] + mu[q:]))
+    up, down = upper.props, lower.props
+    if set(up.rows_occupied) & set(down.rows_occupied):
         raise RuntimeError(f"diagonal split of {shape}: parts overlap")
-    if up_cells | down_cells != set(shape.cells()):
+    if any(w != wu + wl for (_, w, _), (_, wu, _), (_, wl, _)
+           in zip(shape.props.rows, up.rows, down.rows)):
         raise RuntimeError(f"diagonal split of {shape}: parts do not cover it")
-    if any(r >= c for r, c in up_cells) or any(r <= c for r, c in down_cells):
+    if (up.d_min is not None and up.d_min <= 0) or \
+            (down.d_max is not None and down.d_max >= 0):
         raise RuntimeError(f"diagonal split of {shape}: a cell on the wrong "
                            "side of the diagonal")
     return upper, lower

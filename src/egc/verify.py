@@ -21,13 +21,14 @@ from itertools import permutations as iter_permutations
 from .grothendieck import (ORBIT_PRIME, field_sum, g_eval, grothendieck_poly,
                            gvex_checker)
 from .perms import Permutation
-from .pipeline import (_disconnected_inners, chi_flags, j_coefficient,
-                       j_numeric, j_plus_numeric, pi_algorithm)
+from .pipeline import (chi_flags, j_coefficient, j_numeric, j_plus_numeric,
+                       pi_algorithm)
 from .ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, eval_graham,
                    factor_type, is_prime, isobaric, ominus, omega1_factor,
                    prec, sample_point)
 from .shapes import (Flag, Partition, SkewShape, compatible_flags,
-                     diagonal_split, flag_split, skew_props, subpartitions)
+                     diagonal_split, disconnected_inners, flag_split,
+                     skew_props, subpartitions)
 from .tableaux import (COUNTS, EnumSpec, enumerate_tableaux, merge,
                        omega1_inverse, omega1_tableau, r_weight_eval, split,
                        tableau_sum, weight_eval)
@@ -126,7 +127,7 @@ def _decompose_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
                                       window))
             if n_minus == 0:
                 continue
-            for mu in _disconnected_inners(nu):
+            for mu in disconnected_inners(nu):
                 n_plus = _count(EnumSpec(SkewShape(lam, mu), phi, "positive",
                                          window))
                 if n_plus:

@@ -107,16 +107,18 @@ def test_grothendieck_poly_stability():
 
 
 def test_grothendieck_poly_word_independence():
+    # every reduced word of w^{-1} w_0: w_0 in S_3 for w = id, and 2143 in S_4
     rng = random.Random(9)
-    pt = sample_point(P, rng, (), range(1, 3))
-    w = Permutation.from_one_line((1, 3, 2), 1)
-    v = w.inverse() * Permutation.from_one_line((3, 2, 1), 1)
-    words = [(1, 2), (1, 2)] if v.length() != 2 else None
-    f = grothendieck_poly(w, 3, pt)
-    for word in [v.reduced_word()]:
-        assert grothendieck_poly(w, 3, pt, word=word) == f
+    pt = sample_point(P, rng, (), range(1, 4))
+    cases = [((), 3, [(1, 2, 1), (2, 1, 2)]),
+             ((2, 1, 4, 3), 4, [(2, 3, 1, 2), (2, 1, 3, 2)])]
+    for images, n, words in cases:
+        w = Permutation.from_one_line(images, 1)
+        f = grothendieck_poly(w, n, pt)
+        for word in words:
+            assert grothendieck_poly(w, n, pt, word=word) == f
     with pytest.raises(ValueError):
-        grothendieck_poly(w, 3, pt, word=(1, 1, 2))
+        grothendieck_poly(Permutation.identity(), 3, pt, word=(1, 1, 2))
 
 
 def _orbit_instance(n, prime, seed):

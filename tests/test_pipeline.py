@@ -11,10 +11,10 @@ from egc import pipeline
 from egc.perms import Permutation
 from egc.pipeline import (build_context, chi_flags, half_sum, j_coefficient,
                           j_minus, j_numeric, j_of_permutation, j_plus,
-                          pi_algorithm, q_of, unique_nu)
+                          pi_algorithm, unique_nu)
 from egc.ring import (DEFAULT_PRIME, GrahamMonomial, GrahamSum, eval_graham,
                       sample_point)
-from egc.shapes import (Flag, Partition, SkewShape, compatible_flags,
+from egc.shapes import (Flag, Partition, SkewShape, compatible_flags, q_of,
                         subpartitions)
 from egc.tableaux import EnumSpec, enumerate_tableaux
 from egc.verify import partitions_up_to, verify_identities

@@ -122,6 +122,38 @@ def test_diagonal_split_examples():
         diagonal_split(SkewShape(Partition((1,))))
 
 
+def _reference_split(shape: SkewShape):
+    """The diagonal split row by row, as diagonal_split derived it before
+    the cut: the upper part keeps the cells with c > r, the lower part
+    those with c < r."""
+    lam, mu = shape.outer, shape.inner
+    mu_up, mu_down = [], []
+    for r in range(1, len(lam) + 1):
+        lr, mr = lam.part(r), mu.part(r)
+        mu_up.append(mr if lr > r else lr)
+        mu_down.append(mr if mr < min(lr, r) else lr)
+    return SkewShape(lam, Partition(mu_up)), SkewShape(lam, Partition(mu_down))
+
+
+def test_diagonal_split_is_the_cell_set_split():
+    """The row cut against the row-by-row reference and the cell-set
+    definition on every diagonal-free skew shape of size at most 8."""
+    count = 0
+    for lam in partitions_up_to(8):
+        for mu in subpartitions(lam):
+            shape = SkewShape(lam, mu)
+            if shape.props.has_diagonal_cell:
+                continue
+            upper, lower = diagonal_split(shape)
+            assert (upper, lower) == _reference_split(shape), shape
+            assert set(upper.cells()) == \
+                {(r, c) for r, c in shape.cells() if c > r}, shape
+            assert set(lower.cells()) == \
+                {(r, c) for r, c in shape.cells() if c < r}, shape
+            count += 1
+    assert count == 501
+
+
 def test_compatibility():
     assert is_compatible(Partition((2, 2, 2, 1)), Flag((3, 3, 3, 5)))
     assert not is_compatible(Partition((1, 1)), Flag((1, 5)))
