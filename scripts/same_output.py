@@ -21,7 +21,8 @@ tree, and prints every command whose stdout or exit code differs:
   (`bench/workloads.SAMPLED`, read from the working tree) at seed 0, which
   runs the theorem and pi suites at size 5;
 - `egc tableaux`, with an explicit window and with the default one;
-- `egc perm --oneline`.
+- `egc perm --oneline`, and `egc perm --word` on a short word and on the
+  one letter 20000, whose normalisation keeps one far-off transposition.
 
 REV's `src/` is unpacked with `git archive` into a temporary directory,
 which is removed afterwards; nothing is registered in the repository.
@@ -58,6 +59,8 @@ OTHERS = [
      "positive", "--window", "1:2"],
     ["tableaux", "--lambda", "2,1"],
     ["perm", "--oneline", "3,4,5,1,6,2", "--base", "1"],
+    ["perm", "--word", "0,1,-1"],
+    ["perm", "--word", "20000", "--format", "json"],
 ]
 
 

@@ -22,16 +22,15 @@ class Permutation:
         hi = lo + len(images) - 1
         if sorted(images) != list(range(lo, hi + 1)):
             raise ValueError(f"images {images} not a permutation of [{lo},{hi}]")
-        # shrink to the minimal window containing the support
-        while images and images[0] == lo:
-            images = images[1:]
-            lo += 1
-        while images and images[-1] == lo + len(images) - 1:
-            images = images[:-1]
-        if not images:
-            lo = 0
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "images", images)
+        # shrink to the minimal window containing the support: find its
+        # ends, then slice once
+        a, b = 0, len(images)
+        while a < b and images[a] == lo + a:
+            a += 1
+        while b > a and images[b - 1] == lo + b - 1:
+            b -= 1
+        object.__setattr__(self, "lo", lo + a if a < b else 0)
+        object.__setattr__(self, "images", images[a:b])
 
     @classmethod
     def identity(cls) -> "Permutation":
@@ -97,6 +96,8 @@ class Permutation:
 
     def times_s(self, i: int) -> "Permutation":
         """Right multiplication by the simple transposition s_i."""
+        if not self.images:
+            return Permutation.s(i)
         lo = min(self.lo, i)
         hi = max(self.window_hi, i + 1)
         line = list(self.one_line(lo, hi))
@@ -137,14 +138,6 @@ class Permutation:
                             return False
         return True
 
-    def neg(self) -> "Permutation":
-        """The automorphism sending s_i to s_{-i}: (neg w)(k) = 1 - w(1-k)."""
-        if not self.images:
-            return self
-        lo = 1 - self.window_hi
-        hi = 1 - self.lo
-        return Permutation(lo, tuple(1 - self(1 - k) for k in range(lo, hi + 1)))
-
     def iota(self, n: int = 1) -> "Permutation":
         """The shift automorphism sending s_i to s_{i+n}."""
         if not self.images:
@@ -154,9 +147,8 @@ class Permutation:
 
 @dataclass(frozen=True)
 class CodeShapeFlag:
-    code: dict
     shape: Partition
-    flag: Flag | None
+    flag: Flag
 
 
 def code_of(w: Permutation) -> dict[int, int]:
@@ -171,34 +163,19 @@ def code_of(w: Permutation) -> dict[int, int]:
 
 
 def code_shape_flag(w: Permutation) -> CodeShapeFlag:
-    """Code, shape, and (for vexillary w) the flag of w.
+    """The shape and flag of a vexillary w; raises ValueError otherwise.
 
-    p_k(w) = min{j > k : w(k) > w(j)} - 1; the flag collects the p_k for
-    rows with c_k > 0, sorted increasingly.
+    The shape sorts the nonzero code entries.  p_k(w) = min{j > k : w(k) >
+    w(j)} - 1; the flag collects the p_k for rows with c_k > 0, sorted
+    increasingly.
     """
     code = code_of(w)
     shape = Partition(tuple(sorted(code.values(), reverse=True)))
     if not w.is_vexillary():
         raise ValueError(f"permutation {w} is not vexillary; flag undefined")
     ps = []
-    for k, c in code.items():
+    for k in code:
         j = next(j for j in range(k + 1, w.window_hi + 1) if w(k) > w(j))
         ps.append(j - 1)
     flag = Flag(tuple(sorted(ps)))
-    return CodeShapeFlag(code, shape, flag)
-
-
-def from_partition(lam: Partition) -> Permutation:
-    """The 0-Grassmannian permutation w_lam."""
-    if not len(lam):
-        return Permutation.identity()
-    lamc = lam.conjugate()
-    lo = 1 - len(lam)
-    hi = lam.part(1)
-    images = []
-    for i in range(lo, hi + 1):
-        if i <= 0:
-            images.append(i + lam.part(1 - i))
-        else:
-            images.append(i - lamc.part(i))
-    return Permutation(lo, tuple(images))
+    return CodeShapeFlag(shape, flag)

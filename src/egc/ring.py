@@ -7,8 +7,8 @@ its factor codes.  The code of a factor (i, j) is the int
 (type << 42) | (i + 2^20 - 1) << 21 | (j + 2^20 - 1), so plain int order
 on codes is the canonical order (type, i, j) of factor_sort_key, and
 sorted keys sort monomials canonically.  factor_code checks each distinct
-factor once, where its code is made; GrahamMonomial and
-GrahamSum.from_json check every factor they are given."""
+factor once, where its code is made; GrahamMonomial checks every factor
+it is given."""
 
 from __future__ import annotations
 
@@ -249,15 +249,6 @@ class GrahamSum:
         # the extra items sit at the payload's depth: splice their own dump
         emit(",\n" + json.dumps(extra, indent=1)[2:] if extra else "\n}")
 
-    @classmethod
-    def from_json(cls, text: str) -> tuple["GrahamSum", int]:
-        data = json.loads(text)
-        terms: dict[tuple, int] = {}
-        for mono in data["monomials"]:
-            k = GrahamMonomial(mono["factors"]).key  # validates each factor
-            terms[k] = terms.get(k, 0) + mono["mult"]
-        return cls(terms), data["normalization_beta_exp"]
-
     def text_lines(self) -> list[str]:
         if self.is_zero():
             return ["0"]
@@ -366,12 +357,12 @@ class EvaluationPoint:
 SAMPLE_TRIES = 100
 
 
-def sample_point(prime: int, rng, x_indices, y_indices, beta: int | None = None,
+def sample_point(prime: int, rng, x_indices, y_indices,
                  distinct_x: bool = False) -> EvaluationPoint:
     """Random point with nonzero values on the given supports; resamples on
     vanishing denominators, at most SAMPLE_TRIES times."""
     for _ in range(SAMPLE_TRIES):
-        b = beta if beta is not None else rng.randrange(1, prime)
+        b = rng.randrange(1, prime)
         try:
             xs = {i: rng.randrange(1, prime) for i in x_indices}
             if distinct_x and len(set(xs.values())) != len(xs):

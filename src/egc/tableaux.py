@@ -51,13 +51,6 @@ class _Tableau:
                                      f"{(r - 1, first + k)}")
             above = row
 
-    def entry(self, r: int, c: int) -> tuple[int, ...]:
-        layout = self.shape.props.rows
-        first, width, _ = layout[r - 1] if 1 <= r <= len(layout) else (0, 0, 0)
-        if not first <= c < first + width:
-            raise KeyError(f"cell {(r, c)} not in shape {self.shape}")
-        return self.rows[r - 1][c - first]
-
     def cells(self):
         for r, (row, (first, _, _)) in enumerate(
                 zip(self.rows, self.shape.props.rows), start=1):
@@ -75,25 +68,6 @@ class _Tableau:
                       for cell in self.rows[r - 1]]
             lines.append(" ".join(cells))
         return " ; ".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str) -> "_Tableau":
-        outer, inner, rows = [], [], []
-        for line in text.split(";"):
-            cells = line.split()
-            pad = sum(1 for c in cells if c == ".")
-            if any(c == "." for c in cells[pad:]):
-                raise ValueError("inner cells must be a prefix of the row")
-            row = []
-            for c in cells[pad:]:
-                if not (c.startswith("{") and c.endswith("}")):
-                    raise ValueError(f"malformed cell {c!r}")
-                row.append(tuple(int(v) for v in c[1:-1].split(",")))
-            outer.append(len(cells))
-            inner.append(pad)
-            rows.append(tuple(row))
-        shape = SkewShape(Partition(outer), Partition(inner))
-        return cls(shape, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -145,15 +145,14 @@ def _decompose_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
     for _ in range(trials):
         pt = sample_point(prime, rng, range(1, whi + 1), range(1, whi + 1))
         lhs = g_eval(shape, phi, "any", pt, (wlo, whi))
+        # each nu's nonpositive factor serves both skew flags
+        outers = [(nu, outer) for nu in subpartitions(lam)
+                  if (outer := g_eval(SkewShape(nu), phi_minus, "nonpositive",
+                                      pt, (wlo, whi)))]
         for skew_flag in (phi, phi_plus):
-            rhs = 0
-            for nu in subpartitions(lam):
-                outer = g_eval(SkewShape(nu), phi_minus, "nonpositive", pt,
-                               (wlo, whi))
-                if outer == 0:
-                    continue
-                rhs = (rhs + outer * j_plus_numeric(
-                    lam, skew_flag, nu, pt, (wlo, whi))) % prime
+            rhs = sum(outer * j_plus_numeric(lam, skew_flag, nu, pt,
+                                             (wlo, whi))
+                      for nu, outer in outers) % prime
             checks += 1
             if lhs != rhs:
                 failures.append(f"{key}: decomposition mismatch at {pt} "

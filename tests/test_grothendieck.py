@@ -13,7 +13,7 @@ from egc.grothendieck import (ORBIT_PRIME, OrbitTable, backstable_approx,
                               backstable_poly, default_window, enum_sum,
                               field_sum, g_eval, grothendieck_poly,
                               gvex_checker)
-from egc.perms import Permutation, code_shape_flag, from_partition
+from egc.perms import Permutation, code_shape_flag
 from egc.ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, ominus,
                       sample_point)
 from egc.shapes import Flag, Partition, SkewShape, subpartitions
@@ -88,7 +88,8 @@ def test_grothendieck_poly_top_and_identity():
 
 def test_grothendieck_poly_beta_zero_schubert():
     rng = random.Random(7)
-    pt = sample_point(P, rng, (), range(1, 3), beta=0)
+    pt = EvaluationPoint.make(P, 0, {},
+                              {j: rng.randrange(1, P) for j in (1, 2)})
     f = grothendieck_poly(Permutation.from_one_line((3, 2, 1), 1), 3, pt)
     xs = tuple(rng.randrange(P) for _ in range(3))
     y1, y2 = pt.y_val(1), pt.y_val(2)
@@ -240,8 +241,9 @@ def test_gvex_check_small():
 
 def test_gvex_grassmannian():
     rng = random.Random(14)
-    for parts in [(1,), (2, 1), (2, 2)]:
-        w = from_partition(Partition(parts))
+    # the 0-Grassmannian permutations of (1), (2,1) and (2,2)
+    for w in [Permutation(0, (1, 0)), Permutation(-1, (0, 2, -1, 1)),
+              Permutation(-1, (1, 2, -1, 0))]:
         p0 = max(0, 1 - w.window_lo) + 1
         n = w.window_hi + p0
         pt = sample_point(ORBIT_PRIME, rng, range(1 - p0, n - p0 + 1), (1, 2),

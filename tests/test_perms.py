@@ -2,8 +2,8 @@
 
 import pytest
 
-from egc.perms import Permutation, code_of, code_shape_flag, from_partition
-from egc.shapes import Flag, Partition, flags_equivalent, is_compatible
+from egc.perms import Permutation, code_of, code_shape_flag
+from egc.shapes import Flag, Partition, flags_equivalent
 
 
 def test_canonical_trimming():
@@ -64,20 +64,15 @@ def test_code_shape_flag_rejects_non_vexillary():
         code_shape_flag(Permutation.from_word((1, 2, -1, 0)))
 
 
-def test_from_partition():
-    for parts in [(1,), (2,), (1, 1), (2, 1), (3, 1, 1)]:
-        lam = Partition(parts)
-        w = from_partition(lam)
-        csf = code_shape_flag(w)
-        assert csf.shape == lam
-        assert is_compatible(csf.shape, csf.flag)
-    assert from_partition(Partition((1,))) == Permutation.s(0)
-
-
-def test_neg_and_iota():
+def test_iota():
     w = Permutation.from_one_line((2, 1), 1)  # s_1
-    assert w.neg() == Permutation.s(-1)
     assert w.iota(2) == Permutation.s(3)
     assert w.iota(0) == w
-    v = Permutation.from_word((0, 2, 1))
-    assert v.neg().neg() == v
+
+
+def test_long_windows_normalise_in_one_pass():
+    n = 100_000
+    assert Permutation.from_word((n,)) == Permutation.s(n)
+    assert Permutation(0, tuple(range(n))) == Permutation.identity()
+    w = Permutation(1, tuple(range(1, n)) + (n + 1, n))
+    assert (w.lo, w.images) == (n, (n + 1, n))

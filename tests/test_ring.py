@@ -133,9 +133,7 @@ def test_graham_monomial_boundary():
     with pytest.raises(ValueError):
         factor_code((-(1 << 20), 0))
     with pytest.raises(ValueError):  # out of the order 1 < 2 < ... < 0
-        GrahamSum.from_json('{"normalization_beta_exp": 0, '
-                            '"monomials": [{"factors": [[0, -1]], '
-                            '"mult": 1}]}')
+        GrahamMonomial(((0, -1),))
 
 
 def test_factor_codes_sort_canonically():
@@ -172,12 +170,6 @@ def test_graham_sum_product_and_shift():
     assert (prod * b).beta_exp == 2
 
 
-def test_graham_sum_json_roundtrip():
-    s = gsum({((1, 2), (2, 0)): 3, (): 1})
-    back, norm = GrahamSum.from_json(dumped(s, 2, {}))
-    assert back == s and norm == 2
-
-
 JSON_EXTRA = {"lambda": [2, 1], "phi": [-1, 2], "rho": [], "nu": None,
               "q": 1, "case": "both"}
 
@@ -196,10 +188,7 @@ def test_graham_sum_json_matches_dumps(monomials, extra):
     payload = {"normalization_beta_exp": 3, "monomials": [
         {"factors": [list(f) for f in m.factors], "mult": c}
         for m, c in s.canonical()], **extra}
-    text = dumped(s, 3, extra)
-    assert text == json.dumps(payload, indent=1)
-    back, norm = GrahamSum.from_json(text)
-    assert back == s and norm == 3
+    assert dumped(s, 3, extra) == json.dumps(payload, indent=1)
 
 
 def test_eval_graham():

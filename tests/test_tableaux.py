@@ -17,6 +17,8 @@ from egc.tableaux import (EnumSpec, RowStrictDecreasingTableau,
 from egc.verify import _count, partitions_up_to
 
 P = 10007
+# the tableau {-2,-1} {-1,1} {1,3} ; {0,1} {2} of shape (3,2)
+T32 = (((-2, -1), (-1, 1), (1, 3)), ((0, 1), (2,)))
 
 
 def test_semistandard_validation():
@@ -29,12 +31,9 @@ def test_semistandard_validation():
         SetValuedTableau(col, (((1,),), ((1,),)))  # column not strict
 
 
-def test_text_roundtrip():
-    text = "{-2,-1} {-1,1} {1,3} ; {0,1} {2}"
-    t = SetValuedTableau.from_text(text)
-    assert t.shape.outer == Partition((3, 2))
-    assert t.entry(1, 1) == (-2, -1)
-    assert t.to_text() == text
+def test_to_text():
+    t = SetValuedTableau(SkewShape(Partition((3, 2))), T32)
+    assert t.to_text() == "{-2,-1} {-1,1} {1,3} ; {0,1} {2}"
 
 
 def test_enumerate_fixture():
@@ -42,7 +41,7 @@ def test_enumerate_fixture():
                     (1, 2))
     ts = list(enumerate_tableaux(spec))
     assert len(ts) == 1
-    assert ts[0].entry(1, 1) == (1,) and ts[0].entry(2, 1) == (2,)
+    assert ts[0].rows == (((1,),), ((2,),))
 
 
 def test_enumerate_empty_shape():
@@ -87,7 +86,7 @@ def test_weight_beta_power():
 
 
 def test_split_fixture():
-    t = SetValuedTableau.from_text("{-2,-1} {-1,1} {1,3} ; {0,1} {2}")
+    t = SetValuedTableau(SkewShape(Partition((3, 2))), T32)
     tm, tp = split(t)
     assert tm.shape.outer == Partition((2, 1))
     assert tm.to_text() == "{-2,-1} {-1} ; {0}"
@@ -98,16 +97,17 @@ def test_split_fixture():
 
 
 def test_split_all_positive_and_all_nonpositive():
-    t = SetValuedTableau.from_text("{1} {2}")
+    row2 = SkewShape(Partition((2,)))
+    t = SetValuedTableau(row2, (((1,), (2,)),))
     tm, tp = split(t)
     assert tm.shape.outer == Partition(()) and tp.rows == t.rows
-    t2 = SetValuedTableau.from_text("{-1} {0}")
+    t2 = SetValuedTableau(row2, (((-1,), (0,)),))
     tm2, tp2 = split(t2)
     assert tm2.rows == t2.rows and not tp2.shape.cells()
 
 
 def test_merge_rejects_connected_gap():
-    tm = SetValuedTableau.from_text("{-1} {0}")  # shape (2)
+    tm = SetValuedTableau(SkewShape(Partition((2,))), (((-1,), (0,)),))
     tp = SetValuedTableau(SkewShape(Partition((3,)), Partition((2,))),
                           (((1,),),))
     with pytest.raises(ValueError):
@@ -120,13 +120,13 @@ def test_merge_rejects_connected_gap():
 
 
 def test_omega1_examples():
-    t = SetValuedTableau.from_text("{1}")
+    t = SetValuedTableau(SkewShape(Partition((1,))), (((1,),),))
     u = omega1_tableau(t)
-    assert u.entry(1, 1) == (0,)
+    assert u.rows == (((0,),),)
     col = SetValuedTableau(SkewShape(Partition((1, 1))), (((1,),), ((2,),)))
     row = omega1_tableau(col)
     assert row.shape.outer == Partition((2,))
-    assert row.entry(1, 1) == (0,) and row.entry(1, 2) == (-1,)
+    assert row.rows == (((0,), (-1,)),)
 
 
 def test_omega1_roundtrip_exhaustive():
@@ -375,11 +375,6 @@ def test_public_construction_validates(outer, inner, rows):
     shape = SkewShape(Partition(outer), Partition(inner))
     with pytest.raises(ValueError):
         SetValuedTableau(shape, rows)
-    text = " ; ".join(" ".join(["."] * shape.inner.part(r) + [
-        "{" + ",".join(map(str, cell)) + "}" for cell in row])
-        for r, row in enumerate(rows, start=1))
-    with pytest.raises(ValueError):
-        SetValuedTableau.from_text(text)
 
 
 def test_merge_output_is_validated():
