@@ -20,6 +20,9 @@ tree, and prints every command whose stdout or exit code differs:
 - every `egc verify` call of the `verify_sampled` benchmark workload
   (`bench/workloads.SAMPLED`, read from the working tree) at seed 0, which
   runs the theorem and pi suites at size 5;
+- `egc verify --suite theorem --max-size 5 --flag-range -3:3 --trials 1
+  --seed 0 --format json`, the flag range of acceptance criterion 6, where
+  the lower halves reach wider conjugate flags than the sampled run;
 - `egc tableaux`, with an explicit window and with the default one;
 - `egc perm --oneline`, and `egc perm --word` on a short word and on the
   one letter 20000, whose normalisation keeps one far-off transposition.
@@ -55,6 +58,8 @@ OTHERS = [
      "--format", "json"],
     ["verify", "--suite", "decompose", "--trials", "0", "--max-size", "4",
      "--flag-range", "-2:3", "--window", "-2:3", "--format", "json"],
+    ["verify", "--suite", "theorem", "--max-size", "5", "--flag-range",
+     "-3:3", "--trials", "1", "--seed", "0", "--format", "json"],
     ["tableaux", "--lambda", "1,1", "--mu", "1", "--flag", "1,2", "--sign",
      "positive", "--window", "1:2"],
     ["tableaux", "--lambda", "2,1"],

@@ -27,9 +27,9 @@ from .grothendieck import g_eval
 from .perms import Permutation, code_shape_flag
 from .ring import (EvaluationPoint, GrahamSum, add_terms, factor_code,
                    mul_terms, omega1_code)
-from .shapes import (Flag, Partition, SkewShape, diagonal_split,
-                     disconnected_inners, flag_split, is_compatible, psi_flag,
-                     q_of, skew_props, xi_flag)
+from .shapes import (Flag, Partition, SkewShape, delta_seq, diagonal_split,
+                     disconnected_inners, flag_split, is_compatible, q_of,
+                     skew_props, xi_flag)
 from .tableaux import EnumSpec, Semiring, tableau_sum
 
 
@@ -41,40 +41,35 @@ def _vanishes(outer: Partition, inner: Partition, phi: Flag) -> bool:
         any(phi.entry(r) == 0 for r in props.rows_occupied)
 
 
-def _psi_and_pis(lam: Partition, phi: Flag) -> tuple[Flag, list[Permutation]]:
+@lru_cache(maxsize=1024)
+def pi_chain(lam: Partition, phi: Flag) -> tuple[Flag, tuple[Permutation, ...]]:
     """psi and the value-shifting permutations pi_0..pi_ell, for a
-    nonnegative flag compatible with lam."""
+    nonnegative flag compatible with lam: the one derivation of both,
+    cached.  delta_seq refuses a wrong length or an incompatible flag,
+    and psi = phi - delta is the psi_flag it derived delta from."""
     if any(b < 0 for b in phi):
         raise ValueError(f"flag {phi} has a negative entry")
-    psi = psi_flag(lam, phi)  # validates compatibility
-    deltas = [b - a for a, b in zip(psi, phi)]
-    n = max([1] + list(phi.bounds) + deltas)
+    delta = delta_seq(lam, phi)
+    psi = Flag(tuple(b - d for b, d in zip(phi, delta)))
+    n = max([1, *phi.bounds, *delta.values])
     seq = [Permutation.identity()]
     for i in range(1, len(lam) + 1):
         prev = seq[-1]
         if psi.entry(i) <= 0:
             seq.append(prev)
             continue
-        d = deltas[i - 1]
+        d = delta.entry(i)
         line = [v for v in prev.one_line(1, n) if v > d]
         # values 1..d move to positions psi_i+1..phi_i, others keep order
         lo_pos = psi.entry(i)  # 0-based index of first moved value
         line = line[:lo_pos] + list(range(1, d + 1)) + line[lo_pos:]
         seq.append(Permutation.from_one_line(line, 1))
-    return psi, seq
-
-
-def pi_algorithm(lam: Partition, phi: Flag) -> list[Permutation]:
-    """The value-shifting permutations pi_0..pi_ell for a nonnegative flag
-    compatible with lam."""
-    return _psi_and_pis(lam, phi)[1]
+    return psi, tuple(seq)
 
 
 def chi_flags(lam: Partition, phi: Flag) -> list[Flag]:
     """Interpolating flags: chi^(i) = (psi_1..psi_i, phi_{i+1}..phi_ell)."""
-    if any(b < 0 for b in phi):
-        raise ValueError(f"flag {phi} has a negative entry")
-    psi = psi_flag(lam, phi)
+    psi = pi_chain(lam, phi)[0]
     return [Flag(psi.bounds[:i] + phi.bounds[i:]) for i in range(len(lam) + 1)]
 
 
@@ -98,7 +93,7 @@ def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
     diagonal give factors (i, i+c-r), cells below give (pi(i), i+c-r)."""
     if not lam.contains(nu):
         raise ValueError(f"nu {nu} not contained in lambda {lam}")
-    psi, pis = _psi_and_pis(lam, phi_plus)  # validates the flag
+    psi, pis = pi_chain(lam, phi_plus)  # validates the flag
     pi = pis[-1]
     total = FACTOR_SUMS.zero
     for mu in disconnected_inners(nu):

@@ -22,10 +22,10 @@ from .grothendieck import (ORBIT_PRIME, field_sum, g_eval, grothendieck_poly,
                            gvex_checker)
 from .perms import Permutation
 from .pipeline import (chi_flags, j_coefficient, j_numeric, j_plus_numeric,
-                       pi_algorithm)
+                       pi_chain)
 from .ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, eval_graham,
-                   factor_type, is_prime, isobaric, ominus, omega1_factor,
-                   prec, sample_point)
+                   factor_type, is_prime, isobaric, omega1_factor, prec,
+                   sample_point)
 from .shapes import (Flag, Partition, SkewShape, compatible_flags,
                      diagonal_split, disconnected_inners, flag_split,
                      skew_props, subpartitions)
@@ -196,7 +196,7 @@ def _pi_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
     lam, phi = Partition(inst[0]), Flag(inst[1])
     key = f"lam={lam.parts} phi={phi.bounds}"
     checks, failures = 0, []
-    pis = pi_algorithm(lam, phi)
+    pis = pi_chain(lam, phi)[1]
     chis = chi_flags(lam, phi)
     nmax = max([1] + list(phi.bounds))
     rng = _stream(cfg.seed, f"pi:{key}")
@@ -424,12 +424,12 @@ def suite_ring(cfg: RunConfig) -> dict:
     for k in range(100):
         a, b, c = (rng.randrange(prime) for _ in range(3))
         beta = rng.randrange(prime)
-        try:
-            ab = ominus(a, b, beta, prime)
-            bc = ominus(b, c, beta, prime)
+        try:  # the (-) of every route: EvaluationPoint.ominus
+            pt = EvaluationPoint.make(prime, beta)
+            ab, bc = pt.ominus(a, b), pt.ominus(b, c)
             lhs = (ab + bc + beta * ab % prime * bc) % prime
             checks += 1
-            if lhs != ominus(a, c, beta, prime):
+            if lhs != pt.ominus(a, c):
                 failures.append(f"ominus telescoping failed at trial {k}")
         except ArithmeticError:
             continue  # unlucky denominator; identity not at stake

@@ -11,7 +11,7 @@ from egc import pipeline
 from egc.perms import Permutation
 from egc.pipeline import (build_context, chi_flags, half_sum, j_coefficient,
                           j_minus, j_numeric, j_of_permutation, j_plus,
-                          pi_algorithm, unique_nu)
+                          pi_chain, unique_nu)
 from egc.ring import (DEFAULT_PRIME, GrahamMonomial, GrahamSum, eval_graham,
                       sample_point)
 from egc.shapes import (Flag, Partition, SkewShape, compatible_flags, q_of,
@@ -53,7 +53,7 @@ def test_unique_nu_zero_row():
 
 def test_pi_algorithm_fixture():
     lam = Partition((4, 4, 4, 4, 4, 2, 1))
-    seq = pi_algorithm(lam, Flag((3, 4, 4, 5, 6, 6, 8)))
+    seq = pi_chain(lam, Flag((3, 4, 4, 5, 6, 6, 8)))[1]
     assert seq[5].one_line(1, 8) == (6, 1, 2, 3, 4, 5, 7, 8)
     assert seq[6].one_line(1, 8) == (6, 3, 4, 5, 1, 2, 7, 8)
     assert seq[7].one_line(1, 8) == (6, 3, 4, 5, 7, 8, 1, 2)
@@ -63,17 +63,18 @@ def test_pi_algorithm_literal_flag():
     # with the flag value 6 in the last row the final step has no room to
     # move anything, so pi_7 repeats pi_6
     lam = Partition((4, 4, 4, 4, 4, 2, 1))
-    seq = pi_algorithm(lam, Flag((3, 4, 4, 5, 6, 6, 6)))
+    seq = pi_chain(lam, Flag((3, 4, 4, 5, 6, 6, 6)))[1]
     assert seq[5].one_line(1, 8) == (6, 1, 2, 3, 4, 5, 7, 8)
     assert seq[6].one_line(1, 8) == (6, 3, 4, 5, 1, 2, 7, 8)
     assert seq[7] == seq[6]
 
 
 def test_pi_algorithm_small():
-    seq = pi_algorithm(Partition((1, 1)), Flag((1, 2)))
+    psi, seq = pi_chain(Partition((1, 1)), Flag((1, 2)))
+    assert psi == Flag((0, 1))
     assert seq[0] == Permutation.identity()
     assert seq[2].one_line(1, 3) == (2, 1, 3)
-    trivial = pi_algorithm(Partition((2, 1)), Flag((0, 0)))
+    trivial = pi_chain(Partition((2, 1)), Flag((0, 0)))[1]
     assert all(p == Permutation.identity() for p in trivial)
 
 
@@ -162,7 +163,7 @@ def test_theorem_sweep_nonpositive_flags():
 def test_positive_machinery_requires_compatible_flag():
     lam, phi = Partition((2, 2, 2, 1, 1)), Flag((1, 1, 1, 4, 4))
     with pytest.raises(ValueError, match="compatible"):
-        pi_algorithm(lam, phi)
+        pi_chain(lam, phi)
     with pytest.raises(ValueError, match="compatible"):
         j_plus(lam, phi, Partition((2, 2, 2, 1, 1)))
     with pytest.raises(ValueError, match="flag length"):
@@ -212,6 +213,42 @@ def test_theorem_suite_derives_nu_and_xi_once_per_triple(monkeypatch):
     assert report["ok"] and contexts
     assert real_context.cache_info().misses == len(contexts)
     assert xi_calls == sum(1 for c in contexts.values() if c.nu is not None)
+
+
+def test_theorem_suite_derives_each_pi_chain_once(monkeypatch):
+    halves: set[tuple] = set()
+    j_plus_calls = 0
+    real_chain, real_j_plus = pipeline.pi_chain, pipeline.j_plus
+
+    def chain(lam, phi):
+        halves.add((lam, phi))
+        return real_chain(lam, phi)
+
+    def upper(lam, phi_plus, nu):
+        nonlocal j_plus_calls
+        j_plus_calls += 1
+        return real_j_plus(lam, phi_plus, nu)
+
+    real_chain.cache_clear()
+    monkeypatch.setattr(pipeline, "pi_chain", chain)
+    monkeypatch.setattr(pipeline, "j_plus", upper)
+    report = verify_identities("theorem", max_size=3, trials=3)
+    assert report["ok"] and halves
+    assert real_chain.cache_info().misses == len(halves) < j_plus_calls
+
+
+def test_pi_chain_result_is_immutable():
+    lam, phi = Partition((4, 4, 4, 4, 4, 2, 1)), Flag((3, 4, 4, 5, 6, 6, 8))
+    psi, seq = chain = pi_chain(lam, phi)
+    assert pi_chain(lam, phi) is chain
+    assert isinstance(chain, tuple) and isinstance(seq, tuple)
+    with pytest.raises(TypeError):
+        seq[1] = seq[0]
+    with pytest.raises(AttributeError):
+        psi.bounds = ()
+    with pytest.raises(AttributeError):
+        seq[7].images = ()
+    assert seq[7].one_line(1, 8) == (6, 3, 4, 5, 7, 8, 1, 2)
 
 
 def test_j_of_permutation():

@@ -4,6 +4,7 @@ deterministic, and parallel runs match serial ones."""
 import pytest
 
 from egc import verify
+from egc.ring import EvaluationPoint
 from egc.verify import (SUITES, RunConfig, all_vexillary, partitions_up_to,
                         verify_identities)
 
@@ -58,6 +59,18 @@ def test_all_vexillary_small():
 
 def test_suite_ring():
     assert verify_identities("ring")["ok"]
+
+
+def test_suite_ring_checks_the_point_ominus(monkeypatch):
+    # every route evaluates (-) through EvaluationPoint.ominus, so the
+    # telescoping check must fail when that one is wrong
+    def flipped(self, a, b):
+        return (a - b) * pow(1 - self.beta * b, -1, self.prime) % self.prime
+
+    monkeypatch.setattr(EvaluationPoint, "ominus", flipped)
+    report = verify_identities("ring")
+    assert not report["ok"]
+    assert any("telescoping" in f for f in report["failures"])
 
 
 def test_suite_omega_small():
