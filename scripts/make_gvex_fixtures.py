@@ -42,9 +42,8 @@ def main(out_path: Path) -> None:
             values.append(lhs)
         records.append({
             "instance": {
-                "oneline": list(w.one_line(w.window_lo, w.window_hi))
-                if w.images else [],
-                "base": w.window_lo if w.images else 1,
+                "oneline": list(w.images),
+                "base": w.lo if w.images else 1,
                 "shape": list(csf.shape.parts),
                 "flag": list(csf.flag.bounds),
             },

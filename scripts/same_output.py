@@ -25,7 +25,10 @@ tree, and prints every command whose stdout or exit code differs:
   the lower halves reach wider conjugate flags than the sampled run;
 - `egc tableaux`, with an explicit window and with the default one;
 - `egc perm --oneline`, and `egc perm --word` on a short word and on the
-  one letter 20000, whose normalisation keeps one far-off transposition.
+  one letter 20000, whose normalisation keeps one far-off transposition;
+- `egc perm --format json` on two wide windows: the word 0,2000 (two
+  far-apart letters, not vexillary) and the one-line transposition
+  (0 2000), a vexillary hook with 1,999 rows.
 
 REV's `src/` is unpacked with `git archive` into a temporary directory,
 which is removed afterwards; nothing is registered in the repository.
@@ -66,6 +69,9 @@ OTHERS = [
     ["perm", "--oneline", "3,4,5,1,6,2", "--base", "1"],
     ["perm", "--word", "0,1,-1"],
     ["perm", "--word", "20000", "--format", "json"],
+    ["perm", "--word", "0,2000", "--format", "json"],
+    ["perm", "--oneline", ",".join(map(str, [2000, *range(1, 2000), 0])),
+     "--base", "0", "--format", "json"],
 ]
 
 
@@ -108,7 +114,8 @@ def main(rev: str) -> int:
         for argv in argvs:
             old = run(Path(tmp) / "src", argv)
             new = run(ROOT / "src", argv)
-            line = "egc " + " ".join(argv)
+            line = "egc " + " ".join(
+                a if len(a) <= 60 else a[:28] + "..." + a[-28:] for a in argv)
             if old == new:
                 print(f"same  {line}")
                 continue

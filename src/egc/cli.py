@@ -63,14 +63,13 @@ def cmd_j(args) -> int:
 
 def cmd_perm(args) -> int:
     if args.oneline is not None:
-        images = parse_ints(args.oneline)
-        w = Permutation.from_one_line(images, args.base) if images \
-            else Permutation.identity()
+        w = Permutation.from_one_line(parse_ints(args.oneline), args.base)
     else:
         w = Permutation.from_word(parse_ints(args.word))
-    info = {"permutation": str(w), "length": w.length(),
+    code = code_of(w)
+    info = {"permutation": str(w), "length": sum(code.values()),
             "descents": w.descents(), "vexillary": w.is_vexillary(),
-            "code": {str(k): v for k, v in sorted(code_of(w).items())}}
+            "code": {str(k): v for k, v in sorted(code.items())}}
     if info["vexillary"]:
         csf = code_shape_flag(w)
         info["shape"] = list(csf.shape.parts)

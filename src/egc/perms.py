@@ -7,9 +7,10 @@ containing the support, so structural equality is semantic equality.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .shapes import Flag, Partition
+from .shapes import Flag, Partition, conjugate_parts
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,6 @@ class Permutation:
         return w
 
     @property
-    def window_lo(self) -> int:
-        return self.lo
-
-    @property
     def window_hi(self) -> int:
         return self.lo + len(self.images) - 1
 
@@ -77,11 +74,9 @@ class Permutation:
         return not self.images
 
     def inverse(self) -> "Permutation":
-        if not self.images:
-            return self
         inv = [0] * len(self.images)
-        for k in range(self.lo, self.window_hi + 1):
-            inv[self(k) - self.lo] = k
+        for k, v in enumerate(self.images, self.lo):
+            inv[v - self.lo] = k
         return Permutation(self.lo, tuple(inv))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
@@ -105,9 +100,7 @@ class Permutation:
         return Permutation(lo, tuple(line))
 
     def length(self) -> int:
-        n = len(self.images)
-        return sum(1 for a in range(n) for b in range(a + 1, n)
-                   if self.images[a] > self.images[b])
+        return sum(code_of(self).values())
 
     def descents(self) -> list[int]:
         return [k for k in range(self.lo, self.window_hi)
@@ -123,20 +116,12 @@ class Permutation:
         return tuple(reversed(word))
 
     def is_vexillary(self) -> bool:
-        """No i<j<k<l in the window with w(j) < w(i) < w(l) < w(k)."""
-        line = self.images
-        n = len(line)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if line[b] >= line[a]:
-                    continue
-                for c in range(b + 1, n):
-                    if line[c] <= line[a]:
-                        continue
-                    for d in range(c + 1, n):
-                        if line[a] < line[d] < line[c]:
-                            return False
-        return True
+        """No i<j<k<l with w(j) < w(i) < w(l) < w(k), decided by Macdonald's
+        criterion (Notes on Schubert Polynomials, 1991): the sorted code of
+        w^-1 is the conjugate of the sorted code of w."""
+        shape = sorted(code_of(self).values(), reverse=True)
+        inverse = sorted(code_of(self.inverse()).values(), reverse=True)
+        return tuple(inverse) == conjugate_parts(shape)
 
     def iota(self, n: int = 1) -> "Permutation":
         """The shift automorphism sending s_i to s_{i+n}."""
@@ -152,13 +137,17 @@ class CodeShapeFlag:
 
 
 def code_of(w: Permutation) -> dict[int, int]:
-    """The code c_k(w) = #{j > k : w(k) > w(j)}, nonzero entries only."""
-    code = {}
-    for k in range(w.lo, w.window_hi + 1):
-        wk = w(k)
-        c = sum(1 for j in range(k + 1, w.window_hi + 1) if wk > w(j))
+    """The code c_k(w) = #{j > k : w(k) > w(j)}, nonzero entries only.
+
+    One pass from the right: c_k is the rank of w(k) among the values
+    already seen, which are kept sorted."""
+    code, seen = {}, []
+    for k in range(len(w.images) - 1, -1, -1):
+        wk = w.images[k]
+        c = bisect_left(seen, wk)
         if c:
-            code[k] = c
+            code[w.lo + k] = c
+        insort(seen, wk)
     return code
 
 
@@ -169,13 +158,17 @@ def code_shape_flag(w: Permutation) -> CodeShapeFlag:
     w(j)} - 1; the flag collects the p_k for rows with c_k > 0, sorted
     increasingly.
     """
-    code = code_of(w)
-    shape = Partition(tuple(sorted(code.values(), reverse=True)))
+    shape = Partition(tuple(sorted(code_of(w).values(), reverse=True)))
     if not w.is_vexillary():
         raise ValueError(f"permutation {w} is not vexillary; flag undefined")
-    ps = []
-    for k in code:
-        j = next(j for j in range(k + 1, w.window_hi + 1) if w(k) > w(j))
-        ps.append(j - 1)
-    flag = Flag(tuple(sorted(ps)))
-    return CodeShapeFlag(shape, flag)
+    # right to left, the stack holds each j > k with no smaller value
+    # between k and j, nearest on top; once those above w(k) are popped,
+    # the top is p_k + 1, and the stack is empty exactly when c_k = 0
+    line, ps, stack = w.images, [], []
+    for k in range(len(line) - 1, -1, -1):
+        while stack and line[stack[-1]] > line[k]:
+            stack.pop()
+        if stack:
+            ps.append(w.lo + stack[-1] - 1)
+        stack.append(k)
+    return CodeShapeFlag(shape, Flag(tuple(sorted(ps))))

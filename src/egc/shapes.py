@@ -13,6 +13,16 @@ from itertools import product
 from typing import NamedTuple
 
 
+def conjugate_parts(parts) -> tuple[int, ...]:
+    """The conjugate of weakly decreasing positive parts, in time linear in
+    the number of parts plus the largest: parts[r-1] - parts[r] columns
+    have height r."""
+    padded, out = tuple(parts) + (0,), []
+    for r in range(len(padded) - 1, 0, -1):
+        out += [r] * (padded[r - 1] - padded[r])
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Partition:
     parts: tuple[int, ...] = ()
@@ -45,11 +55,7 @@ class Partition:
         return sum(self.parts)
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        return Partition(tuple(
-            sum(1 for p in self.parts if p >= c)
-            for c in range(1, self.parts[0] + 1)))
+        return Partition(conjugate_parts(self.parts))
 
     def contains(self, other: "Partition") -> bool:
         return len(other) <= len(self) and \

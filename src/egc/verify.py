@@ -16,16 +16,16 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import permutations as iter_permutations
+from itertools import groupby, permutations as iter_permutations
 
 from .grothendieck import (ORBIT_PRIME, field_sum, g_eval, grothendieck_poly,
                            gvex_checker)
 from .perms import Permutation
 from .pipeline import (chi_flags, j_coefficient, j_numeric, j_plus_numeric,
                        pi_chain)
-from .ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, eval_graham,
-                   factor_type, is_prime, isobaric, omega1_factor, prec,
-                   sample_point)
+from .ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, code_facts,
+                   eval_graham, factor_type, is_prime, isobaric,
+                   omega1_factor, prec, sample_point)
 from .shapes import (Flag, Partition, SkewShape, compatible_flags,
                      diagonal_split, disconnected_inners, flag_split,
                      skew_props, subpartitions)
@@ -232,12 +232,10 @@ def suite_pi(cfg: RunConfig) -> dict:
 
 def all_vexillary(lo: int, hi: int) -> list[Permutation]:
     """All vexillary permutations with support inside [lo, hi]."""
-    found = set()
-    for images in iter_permutations(range(lo, hi + 1)):
-        w = Permutation.from_one_line(images, lo)
-        if w.is_vexillary():
-            found.add(w)
-    return sorted(found, key=lambda w: (w.length(), w.one_line(lo, hi)))
+    ws = (Permutation.from_one_line(images, lo)
+          for images in iter_permutations(range(lo, hi + 1)))
+    return sorted((w for w in ws if w.is_vexillary()),
+                  key=lambda w: (w.length(), w.one_line(lo, hi)))
 
 
 GVEX_P0 = 4  # shifts support [-2,3] into [2,7]; x is read on indices -3..3
@@ -258,8 +256,7 @@ def gvex_points(prime: int, seed: int, trials: int
 
 def _gvex_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
     images, base = inst
-    w = Permutation.from_one_line(images, base) if images \
-        else Permutation.identity()
+    w = Permutation.from_one_line(images, base)
     key = f"w={','.join(map(str, images))}@{base}" if images else "w=id"
     # the orbit engine multiplies two field values in int64
     prime = cfg.prime if cfg.prime ** 2 < 2**63 else ORBIT_PRIME
@@ -279,14 +276,8 @@ def _gvex_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
 
 
 def suite_gvex(cfg: RunConfig) -> dict:
-    instances = []
     # every Grassmannian w_lam with |lam| <= 3 sits inside this sweep
-    for w in all_vexillary(-2, 3):
-        if w.images:
-            instances.append((w.one_line(w.window_lo, w.window_hi),
-                              w.window_lo))
-        else:
-            instances.append(((), 1))
+    instances = [(w.images, w.lo) for w in all_vexillary(-2, 3)]
     return _collect("gvex", _gvex_instance, instances, cfg)
 
 
@@ -307,21 +298,21 @@ def _theorem_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
         j = j_coefficient(lam, phi, rho)
         if j.beta_exp != 0:
             failures.append(f"{rkey}: beta exponent != factor count")
-        for mono, coeff in j.canonical():
+        for codes, coeff in sorted(j.terms.items()):
             checks += 1
             if coeff <= 0:
                 failures.append(f"{rkey}: nonpositive coefficient {coeff}")
-            if any(not prec(i, jj) for i, jj in mono.factors):
+            # per distinct factor (a run of equal codes in the sorted key):
+            # its facts and its multiplicity
+            runs = [(code_facts(code), len(list(run)))
+                    for code, run in groupby(codes)]
+            if not all(in_order for (_, in_order, _), _ in runs):
                 failures.append(f"{rkey}: factor violates the order")
-            mult: dict[tuple, int] = {}
-            for f in mono.factors:
-                mult[f] = mult.get(f, 0) + 1
-            for f, m in mult.items():
-                cap = 2 if factor_type(f) == 3 else 1
-                if m > cap:
+            for (f, _, ftype), m in runs:
+                if m > (2 if ftype == 3 else 1):
                     failures.append(f"{rkey}: factor {f} of type "
-                                    f"{factor_type(f)} appears {m} times")
-            types = {factor_type(f) for f in mono.factors}
+                                    f"{ftype} appears {m} times")
+            types = {ftype for (_, _, ftype), _ in runs}
             if {1, 2} <= types:
                 failures.append(f"{rkey}: monomial mixes Type 1 and Type 2")
         if rho.size == lam.size:

@@ -244,7 +244,7 @@ def test_gvex_grassmannian():
     # the 0-Grassmannian permutations of (1), (2,1) and (2,2)
     for w in [Permutation(0, (1, 0)), Permutation(-1, (0, 2, -1, 1)),
               Permutation(-1, (1, 2, -1, 0))]:
-        p0 = max(0, 1 - w.window_lo) + 1
+        p0 = max(0, 1 - w.lo) + 1
         n = w.window_hi + p0
         pt = sample_point(ORBIT_PRIME, rng, range(1 - p0, n - p0 + 1), (1, 2),
                           distinct_x=True)
