@@ -14,8 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache
 from itertools import permutations as iter_permutations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .perms import Permutation, code_shape_flag
 from .ring import (EvaluationPoint, EvaluationError, SparsePoly, field_inv,
@@ -23,6 +22,9 @@ from .ring import (EvaluationPoint, EvaluationError, SparsePoly, field_inv,
 from .shapes import Flag, SkewShape
 from .tableaux import (EnumSpec, Semiring, enumerate_tableaux, tableau_sum,
                        weight_eval)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORBIT_PRIME = 2147483647  # 2^31 - 1: orbit-engine products fit in int64
 
@@ -82,10 +84,14 @@ def g_eval(shape: SkewShape, flag: Flag | None, sign: str,
 def field_sum(spec: EnumSpec, point: EvaluationPoint) -> int:
     """The tableau-weight sum over spec at the point, by the F_p transfer
     DP; spec's window is taken as given."""
-    # over F_p: f = x_m (-) y_{m+d} for a cell's largest value m, beta*f below
     p, beta = point.prime, point.beta
-    f = lru_cache(maxsize=None)(
-        lambda m, d: point.ominus(point.x_val(m), point.y_val(m + d)))
+    seen: dict = {}  # f = x_m (-) y_{m+d} at the largest value m, beta*f below
+
+    def f(m: int, d: int) -> int:
+        if (m, d) not in seen:
+            seen[m, d] = point.ominus(point.x_val(m), point.y_val(m + d))
+        return seen[m, d]
+
     field = Semiring(0, 1, lambda a, b: (a + b) % p, lambda a, b: a * b % p)
     return tableau_sum(spec, field, f, lambda m, d: (1 + beta * f(m, d)) % p)
 
@@ -138,11 +144,13 @@ def grothendieck_poly(w: Permutation, n: int, point: EvaluationPoint,
 
 # ---------------------------------------------------------------------------
 # Orbit evaluation engine: values of Grothendieck polynomials at one point
-# and all coordinate permutations of it, vectorized over the orbit.
+# and all coordinate permutations of it, vectorized over the orbit.  Only
+# this engine uses numpy, so its functions import it on first use.
 
 
 def _vec_inv(a: np.ndarray, p: int) -> np.ndarray:
     """Vectorized modular inverse by binary exponentiation to p-2."""
+    import numpy as np
     result = np.ones_like(a)
     base = a % p
     e = p - 2
@@ -163,6 +171,7 @@ def _orbit_index(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     matrix, whose row k is the k-th permutation of range(n) in
     lexicographic order (row 0 is the identity), and for each i < n-1 the
     row index map that swaps entries i and i+1."""
+    import numpy as np
     perms = list(iter_permutations(range(n)))
     index = {pm: k for k, pm in enumerate(perms)}
     partner = tuple(
@@ -227,6 +236,7 @@ class OrbitTable:
             raise ValueError("orbit evaluation needs distinct x coordinates")
         if len(ys) < n - 1:
             raise ValueError(f"need {n - 1} y values")
+        import numpy as np
         self.n, self.beta, self.prime = n, beta % prime, prime
         orbit, self.partner = _orbit_index(n)
         xs_arr = np.array([v % prime for v in xs], dtype=np.int64)
@@ -249,7 +259,7 @@ class OrbitTable:
     def _op(self, F: np.ndarray, i: int) -> np.ndarray:
         G = F[self.partner[i - 1]]
         num = (self.A[i] * F - self.A[i - 1] * G) % self.prime
-        return (num * self.invdiff[i - 1] % self.prime).astype(np.uint32)
+        return (num * self.invdiff[i - 1] % self.prime).astype(F.dtype)
 
     def value(self, w: Permutation) -> int:
         """𝔊_w evaluated at the base point; w supported in 1..n."""

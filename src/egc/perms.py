@@ -7,7 +7,6 @@ containing the support, so structural equality is semantic equality.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .shapes import Flag, Partition, conjugate_parts
@@ -77,7 +76,11 @@ class Permutation:
         inv = [0] * len(self.images)
         for k, v in enumerate(self.images, self.lo):
             inv[v - self.lo] = k
-        return Permutation(self.lo, tuple(inv))
+        # w^-1 moves the points w moves: the window stays minimal, unchecked
+        out = object.__new__(Permutation)
+        object.__setattr__(out, "lo", self.lo)
+        object.__setattr__(out, "images", tuple(inv))
+        return out
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (u*v)(k) = u(v(k))."""
@@ -119,9 +122,7 @@ class Permutation:
         """No i<j<k<l with w(j) < w(i) < w(l) < w(k), decided by Macdonald's
         criterion (Notes on Schubert Polynomials, 1991): the sorted code of
         w^-1 is the conjugate of the sorted code of w."""
-        shape = sorted(code_of(self).values(), reverse=True)
-        inverse = sorted(code_of(self.inverse()).values(), reverse=True)
-        return tuple(inverse) == conjugate_parts(shape)
+        return _vexillary_shape(self) is not None
 
     def iota(self, n: int = 1) -> "Permutation":
         """The shift automorphism sending s_i to s_{i+n}."""
@@ -139,16 +140,28 @@ class CodeShapeFlag:
 def code_of(w: Permutation) -> dict[int, int]:
     """The code c_k(w) = #{j > k : w(k) > w(j)}, nonzero entries only.
 
-    One pass from the right: c_k is the rank of w(k) among the values
-    already seen, which are kept sorted."""
-    code, seen = {}, []
-    for k in range(len(w.images) - 1, -1, -1):
-        wk = w.images[k]
-        c = bisect_left(seen, wk)
+    One pass from the right: c_k counts the values below w(k) already seen,
+    kept in a Fenwick tree over the window, so the pass takes n log n."""
+    code, lo, n = {}, w.lo, len(w.images)
+    tree = [0] * (n + 1)  # tree[i] counts the seen v - lo in [i - (i & -i), i)
+    for k in range(n - 1, -1, -1):
+        c = 0
+        i = v = w.images[k] - lo  # the values below w(k) are lo..lo + v - 1
+        while i:
+            c, i = c + tree[i], i & (i - 1)
         if c:
-            code[w.lo + k] = c
-        insort(seen, wk)
+            code[lo + k] = c
+        i = v + 1
+        while i <= n:
+            tree[i], i = tree[i] + 1, i + (i & -i)
     return code
+
+
+def _vexillary_shape(w: Permutation) -> tuple[int, ...] | None:
+    """The sorted code of w when w is vexillary, by Macdonald's criterion."""
+    shape = tuple(sorted(code_of(w).values(), reverse=True))
+    inverse = sorted(code_of(w.inverse()).values(), reverse=True)
+    return shape if tuple(inverse) == conjugate_parts(shape) else None
 
 
 def code_shape_flag(w: Permutation) -> CodeShapeFlag:
@@ -158,8 +171,7 @@ def code_shape_flag(w: Permutation) -> CodeShapeFlag:
     w(j)} - 1; the flag collects the p_k for rows with c_k > 0, sorted
     increasingly.
     """
-    shape = Partition(tuple(sorted(code_of(w).values(), reverse=True)))
-    if not w.is_vexillary():
+    if (shape := _vexillary_shape(w)) is None:
         raise ValueError(f"permutation {w} is not vexillary; flag undefined")
     # right to left, the stack holds each j > k with no smaller value
     # between k and j, nearest on top; once those above w(k) are popped,
@@ -171,4 +183,4 @@ def code_shape_flag(w: Permutation) -> CodeShapeFlag:
         if stack:
             ps.append(w.lo + stack[-1] - 1)
         stack.append(k)
-    return CodeShapeFlag(shape, Flag(tuple(sorted(ps))))
+    return CodeShapeFlag(Partition(shape), Flag(tuple(sorted(ps))))

@@ -177,11 +177,7 @@ def j_coefficient(lam: Partition, phi: Flag, rho: Partition) -> GrahamSum:
 
 
 def j_of_permutation(w: Permutation, rho: Partition) -> GrahamSum:
-    if not w.is_vexillary():
-        raise ValueError(
-            f"permutation {w} is not vexillary; the coefficient is not "
-            "Graham-positive in general (all three factor types can occur)")
-    csf = code_shape_flag(w)
+    csf = code_shape_flag(w)  # raises ValueError unless w is vexillary
     return j_coefficient(csf.shape, csf.flag, rho)
 
 

@@ -155,8 +155,8 @@ COUNTS = Semiring(0, 1, operator.add, operator.mul)
 
 def tableau_sum(spec: EnumSpec, semiring: Semiring, top, extra):
     """Sum over the tableaux of spec of the product of their cell weights,
-    by a transfer DP over the rows of _plan(spec), whose state is the
-    largest value of each cell that the next row reads.
+    by a transfer DP over the rows of the shape's _layout, whose state is
+    the largest value of each cell that the next row reads.
 
     Over the sets a cell on diagonal d = c-r may hold, with values from lb
     (set by its row and its left and upper neighbours) up to its largest
@@ -164,31 +164,31 @@ def tableau_sum(spec: EnumSpec, semiring: Semiring, top, extra):
     where extra(i, d) is `one` (i left out) plus the weight of i held below
     M (Buch's set-valued tableaux).  An empty shape sums to `one`."""
     add, mul = semiring.add, semiring.mul
-
-    @lru_cache(maxsize=None)
-    def cell(lb: int, hi: int, d: int) -> list:  # the closed form, M = lb..hi
-        out, run = [], semiring.one
-        for m in range(lb, hi + 1):
-            out.append(mul(run, top(m, d)))
-            run = mul(run, extra(m, d))
-        return out
-
-    plan, cuts = _plan(spec)
+    forms: dict = {}  # (lb, hi, d) -> the closed form for M = lb..hi
+    cells, cuts = _layout(spec.shape.props.rows)
     # states: maxima of the previous row's cells base..keep-1 -> sum
     states, base = {(): semiring.one}, 0
-    for start, end, keep in cuts:
+    for r, (start, end, keep) in enumerate(cuts, start=1):
         if start == end:  # a row with no cells reads and keeps none
             continue
+        lo, hi = cell_bounds(spec, r)
         new_states: dict = {}
         for above, w0 in states.items():
             # along the row: (bound from the left, maxima kept) -> sum
-            inner = {(plan[start][0], ()): w0}
+            inner = {(lo, ()): w0}
             for i in range(start, end):
-                _, hi, _, up, d = plan[i]
+                _, _, up, d = cells[i]
                 nxt: dict = {}
                 for (left, kept), wt in inner.items():
                     lb = max(left, above[up - base] + 1) if up >= 0 else left
-                    for m, w in enumerate(cell(lb, hi, d), start=lb):
+                    form = forms.get((lb, hi, d))
+                    if form is None:
+                        form, run = [], semiring.one
+                        for m in range(lb, hi + 1):
+                            form.append(mul(run, top(m, d)))
+                            run = mul(run, extra(m, d))
+                        forms[lb, hi, d] = form
+                    for m, w in enumerate(form, start=lb):
                         key = (m, kept + (m,) if i < keep else kept)
                         v = mul(wt, w)
                         nxt[key] = add(nxt[key], v) if key in nxt else v
@@ -200,41 +200,43 @@ def tableau_sum(spec: EnumSpec, semiring: Semiring, top, extra):
     return reduce(add, states.values(), semiring.zero)
 
 
-def _plan(spec: EnumSpec):
-    """The cells of spec's shape in row-major order, each as its value
-    bounds before neighbour constraints, the flat indices of its left and
-    upper neighbours (-1 when absent) and its diagonal c-r; and each row's
-    slice start..end of that order with `keep`, the end of its leading
-    cells that the next row reads."""
-    plan, cuts, above = [], [], 0
-    layout = spec.shape.props.rows
-    for r, (first, width, up) in enumerate(layout, start=1):
-        start = len(plan)
-        if width:
-            lo, hi = cell_bounds(spec, r)
-        for k in range(width):
-            plan.append((lo, hi, start + k - 1 if k else -1,
-                         above + k - up if k >= up else -1, first + k - r))
+@lru_cache(maxsize=1024)  # a verify run meets a few hundred shapes
+def _layout(rows: tuple[tuple[int, int, int], ...]):
+    """The shape-only part of every tableau spec on a shape, cached on the
+    shape's `props.rows`: its cells in row-major order, each as its row,
+    the flat indices of its left and upper neighbours (-1 when absent) and
+    its diagonal c-r; and each row's slice start..end of that order with
+    `keep`, the end of its leading cells that the next row reads.  The
+    value bounds depend on the flag, sign and window too, so callers take
+    them per row from cell_bounds."""
+    cells, cuts, above = [], [], 0
+    for r, (first, width, up) in enumerate(rows, start=1):
+        start = len(cells)
+        cells += [(r, start + k - 1 if k else -1,
+                   above + k - up if k >= up else -1, first + k - r)
+                  for k in range(width)]
         # cell k >= up' of the next row lies below cell k - up' of this one
-        _, width_next, up_next = layout[r] if r < len(layout) else (0, 0, 0)
+        _, width_next, up_next = rows[r] if r < len(rows) else (0, 0, 0)
         cuts.append((start, start + width,
                      start + max(0, width_next - up_next)))
         above = start
-    return plan, cuts
+    return tuple(cells), tuple(cuts)
 
 
 def enumerate_tableaux(spec: EnumSpec):
     """All admissible fillings, row-major, lexicographic on entry sets."""
     shape = spec.shape
-    plan, cuts = _plan(spec)
-    last = len(plan) - 1
+    cells, cuts = _layout(shape.props.rows)
+    last = len(cells) - 1
     if last < 0:
         yield _built(shape, tuple(() for _ in cuts))
         return
-    grid: list = [()] * len(plan)
+    bounds = {r: cell_bounds(spec, r) for r in shape.props.rows_occupied}
+    grid: list = [()] * len(cells)
 
     def fill(i: int):
-        lo, hi, left, up, _ = plan[i]
+        r, left, up, _ = cells[i]
+        lo, hi = bounds[r]
         if left >= 0 and grid[left][-1] > lo:
             lo = grid[left][-1]
         if up >= 0 and grid[up][-1] >= lo:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import groupby, permutations as iter_permutations
@@ -494,6 +493,7 @@ def _collect(name, fn, instances, cfg):
     run = partial(fn, cfg)
     workers = min(cfg.jobs, os.cpu_count() or 1, len(instances))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # on first use
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, instances))
     else:

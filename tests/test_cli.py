@@ -1,6 +1,9 @@
 """The egc command line: output formats, exit codes, list parsing."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -202,3 +205,29 @@ def test_malformed_range_refused(capsys, text):
         parse_range(text)
     code, _, err = run(capsys, "tableaux", "--lambda", "1", "--window", text)
     assert code == 1 and repr(text) in err
+
+
+def test_numpy_and_the_process_pool_load_on_first_use():
+    """Importing the command line loads neither numpy nor the process-pool
+    machinery; the orbit engine loads numpy when it first runs, and its
+    value still matches the polynomial route."""
+    script = """
+import sys
+import egc.cli
+print("numpy" in sys.modules, "concurrent.futures.process" in sys.modules)
+from egc.grothendieck import backstable_approx, backstable_poly
+from egc.perms import Permutation
+from egc.ring import EvaluationPoint
+w = Permutation.from_one_line((2, 4, 1, 3), 1)
+pt = EvaluationPoint.make(2147483647, 5, {1: 3, 2: 7, 3: 11, 4: 13},
+                          {1: 2, 2: 17, 3: 19})
+poly = backstable_poly(w, 0, pt)
+print("numpy" in sys.modules)
+print(backstable_approx(w, 0, pt) == poly, "numpy" in sys.modules)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split("\n") == ["False False", "False", "True True", ""]

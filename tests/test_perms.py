@@ -165,3 +165,34 @@ def test_wide_windows_take_one_code_pass():
     assert csf.shape.parts == (n,) + (1,) * (n - 1)
     assert csf.flag.bounds == (0,) + (n - 1,) * (n - 1)
     assert time.perf_counter() - start < 5
+
+
+def test_code_matches_definition_on_narrow_windows():
+    """code_of against c_k = #{j > k : w(k) > w(j)} on random windows of
+    width 1..9, and the inverse it reads against the checked constructor."""
+    rng = random.Random("perms:fenwick")
+    for _ in range(2000):
+        width, base = rng.randint(1, 9), rng.randint(-5, 5)
+        values = list(range(base, base + width))
+        rng.shuffle(values)
+        w = Permutation.from_one_line(values, base)
+        ks = range(w.lo, w.lo + len(w.images))
+        assert code_of(w) == {k: c for k in ks if (c := sum(
+            1 for j in ks if j > k and w(k) > w(j)))}, w
+        inv = w.inverse()
+        assert inv == Permutation(base, tuple(
+            sorted(range(base, base + width), key=lambda k: w(k)))), w
+        assert w * inv == Permutation.identity()
+
+
+def test_code_of_the_transposition_0_n():
+    """(0 n) at n = 100,000, with exact values: c_0 = n and c_k = 1 for
+    0 < k < n; it is its own inverse."""
+    n = 100_000
+    t = Permutation.from_one_line((n,) + tuple(range(1, n)) + (0,), 0)
+    assert code_of(t) == {0: n, **{k: 1 for k in range(1, n)}}
+    assert t.inverse() == t
+    assert t.length() == 2 * n - 1 and t.is_vexillary()
+    csf = code_shape_flag(t)
+    assert csf.shape.parts == (n,) + (1,) * (n - 1)
+    assert csf.flag.bounds == (0,) + (n - 1,) * (n - 1)

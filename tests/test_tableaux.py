@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from egc.ring import EvaluationPoint, ominus, sample_point
 from egc.shapes import Flag, Partition, SkewShape, subpartitions
 from egc.tableaux import (EnumSpec, RowStrictDecreasingTableau,
-                          SetValuedTableau, _built, _subsets, admits,
+                          SetValuedTableau, _built, _layout, _subsets, admits,
                           enumerate_tableaux, merge, omega1_inverse,
                           omega1_tableau, r_weight_eval, split, weight_eval)
 from egc.verify import _count, partitions_up_to
@@ -335,6 +335,22 @@ def test_count_instance_empty_shape():
                   SkewShape(Partition((2, 1)), Partition((2, 1)))):
         spec = EnumSpec(shape, None, "any")
         assert _count(spec) == len(list(enumerate_tableaux(spec))) == 1
+
+
+def test_layout_cache_is_bounded_and_keyed_on_the_shape():
+    """Specs that differ only in flag, sign or window share one layout, so
+    the cache holds one entry per shape, and it has a bound."""
+    assert _layout.cache_info().maxsize == 1024
+    shape = SkewShape(Partition((4, 3, 1)), Partition((1,)))
+    _count(EnumSpec(shape, None, "any", (-1, 1)))
+    before = _layout.cache_info()
+    for flag, sign, window in ((None, "positive", (0, 3)),
+                               (Flag((1, 2, 2)), "any", (-2, 2)),
+                               (Flag((0, 1, 3)), "nonpositive", (-1, 0))):
+        spec = EnumSpec(shape, flag, sign, window)
+        assert _count(spec) == len(list(enumerate_tableaux(spec)))
+    after = _layout.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 6)
 
 
 @PROPERTY

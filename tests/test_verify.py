@@ -1,6 +1,9 @@
 """The verification suites at small sizes: all pass, reports are
 deterministic, and parallel runs match serial ones."""
 
+import concurrent.futures
+import os
+
 import pytest
 
 from egc import ring, verify
@@ -125,12 +128,22 @@ def test_reports_deterministic():
     assert a == b
 
 
-def test_jobs_match_serial():
+def test_jobs_match_serial(monkeypatch):
     serial = verify_identities("theorem", max_size=2, trials=1,
                                flag_range=(-1, 1), jobs=1)
+    started, pool = [], concurrent.futures.ProcessPoolExecutor
+
+    def counted_pool(**kwargs):
+        started.append(kwargs)
+        return pool(**kwargs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        counted_pool)
     parallel = verify_identities("theorem", max_size=2, trials=1,
                                  flag_range=(-1, 1), jobs=2)
     assert serial == parallel
+    # a pool starts whenever the host has two CPUs to give it
+    assert started == ([{"max_workers": 2}] if (os.cpu_count() or 1) > 1
+                       else [])
 
 
 def test_jobs_bounded(monkeypatch):
@@ -140,7 +153,7 @@ def test_jobs_bounded(monkeypatch):
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-instance suite started a process pool")
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     report = verify_identities("decompose", max_size=1, flag_range=(1, 1),
                                trials=1, jobs=2)
     assert report["instances"] == 1 and report["ok"]
