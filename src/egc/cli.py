@@ -67,11 +67,14 @@ def cmd_perm(args) -> int:
     else:
         w = Permutation.from_word(parse_ints(args.word))
     code = code_of(w)
+    try:
+        csf = code_shape_flag(w, code)
+    except ValueError:  # not vexillary
+        csf = None
     info = {"permutation": str(w), "length": sum(code.values()),
-            "descents": w.descents(), "vexillary": w.is_vexillary(),
+            "descents": w.descents(), "vexillary": csf is not None,
             "code": {str(k): v for k, v in sorted(code.items())}}
-    if info["vexillary"]:
-        csf = code_shape_flag(w)
+    if csf:
         info["shape"] = list(csf.shape.parts)
         info["flag"] = list(csf.flag.bounds)
     if getattr(args, "format", None) == "json":

@@ -85,15 +85,16 @@ def field_sum(spec: EnumSpec, point: EvaluationPoint) -> int:
     """The tableau-weight sum over spec at the point, by the F_p transfer
     DP; spec's window is taken as given."""
     p, beta = point.prime, point.beta
-    seen: dict = {}  # f = x_m (-) y_{m+d} at the largest value m, beta*f below
+    seen, forms = point._closed
 
-    def f(m: int, d: int) -> int:
+    def f(m: int, d: int) -> int:  # x_m (-) y_{m+d} at the largest value m
         if (m, d) not in seen:
             seen[m, d] = point.ominus(point.x_val(m), point.y_val(m + d))
         return seen[m, d]
 
     field = Semiring(0, 1, lambda a, b: (a + b) % p, lambda a, b: a * b % p)
-    return tableau_sum(spec, field, f, lambda m, d: (1 + beta * f(m, d)) % p)
+    return tableau_sum(spec, field, f, lambda m, d: (1 + beta * f(m, d)) % p,
+                       forms)
 
 
 def enum_sum(spec: EnumSpec, point: EvaluationPoint) -> int:
@@ -184,11 +185,12 @@ def _orbit_index(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return orbit, partner
 
 
-def _ascent_chain(line: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+def ascent_chain(line: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     """The path from w_0 down to u = line in the last-ascent tree of the
     weak order, as (one-line of the node, letter a) pairs from w_0's child
     to u.  The parent of a node v is v*s_a for v's last ascent a, and
-    𝔊_v = π_a 𝔊_{v*s_a}."""
+    𝔊_v = π_a 𝔊_{v*s_a}.  As a sort key, it orders the tree depth
+    first."""
     chain = []
     while True:
         a = next((a for a in range(len(line) - 1, 0, -1)
@@ -211,8 +213,8 @@ class OrbitTable:
     w_0 with 𝔊_{w_0} the top product, and each edge is one step π_a.  The
     table keeps the path of its last query, as (one-line, vector) pairs;
     a new query reuses the longest common prefix with it and steps only
-    along the rest.  Queries in shortlex order share long prefixes in this
-    tree.  Vectors are stored as uint32, which holds every residue since
+    along the rest.  Queries sorted by ascent_chain step each node once.
+    Vectors are stored as uint32, which holds every residue since
     p < 2^31.5; products are taken in int64.
 
     Memory: the n-only data (`_orbit_index`) is shared by every table on n
@@ -265,7 +267,7 @@ class OrbitTable:
         """𝔊_w evaluated at the base point; w supported in 1..n."""
         if w.images and not (1 <= w.lo and w.window_hi <= self.n):
             raise ValueError(f"permutation {w} not supported in 1..{self.n}")
-        chain = _ascent_chain(w.one_line(1, self.n))
+        chain = ascent_chain(w.one_line(1, self.n))
         path = self._path
         k = 0
         while k < min(len(path), len(chain)) and path[k][0] == chain[k][0]:

@@ -157,21 +157,22 @@ def code_of(w: Permutation) -> dict[int, int]:
     return code
 
 
-def _vexillary_shape(w: Permutation) -> tuple[int, ...] | None:
+def _vexillary_shape(w: Permutation, code=None) -> tuple[int, ...] | None:
     """The sorted code of w when w is vexillary, by Macdonald's criterion."""
-    shape = tuple(sorted(code_of(w).values(), reverse=True))
+    code = code_of(w) if code is None else code
+    shape = tuple(sorted(code.values(), reverse=True))
     inverse = sorted(code_of(w.inverse()).values(), reverse=True)
     return shape if tuple(inverse) == conjugate_parts(shape) else None
 
 
-def code_shape_flag(w: Permutation) -> CodeShapeFlag:
+def code_shape_flag(w: Permutation, code=None) -> CodeShapeFlag:
     """The shape and flag of a vexillary w; raises ValueError otherwise.
 
     The shape sorts the nonzero code entries.  p_k(w) = min{j > k : w(k) >
     w(j)} - 1; the flag collects the p_k for rows with c_k > 0, sorted
     increasingly.
     """
-    if (shape := _vexillary_shape(w)) is None:
+    if (shape := _vexillary_shape(w, code)) is None:
         raise ValueError(f"permutation {w} is not vexillary; flag undefined")
     # right to left, the stack holds each j > k with no smaller value
     # between k and j, nearest on top; once those above w(k) are popped,

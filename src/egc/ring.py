@@ -13,7 +13,7 @@ it is given."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
@@ -297,17 +297,14 @@ class EvaluationPoint:
 
     Unassigned indices read as 0.  Hashable so evaluations can be cached.
     Each point keeps the values 1/(1 + beta*b) that its `ominus` has
-    inverted, so a repeated b costs two multiplications.
+    inverted, so a repeated b costs two multiplications, and `_closed`
+    holds grothendieck.field_sum's f values and closed forms.
     """
 
     prime: int
     beta: int
     x: tuple[tuple[int, int], ...] = ()
     y: tuple[tuple[int, int], ...] = ()
-    _xd: dict = field(default=None, compare=False, hash=False, repr=False)
-    _yd: dict = field(default=None, compare=False, hash=False, repr=False)
-    _den_inv: dict = field(default=None, compare=False, hash=False,
-                           repr=False)
 
     def __post_init__(self):
         if not is_prime(self.prime):
@@ -316,15 +313,19 @@ class EvaluationPoint:
                          if v % self.prime))
         y = tuple(sorted((j, v % self.prime) for j, v in dict(self.y).items()
                          if v % self.prime))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "beta", self.beta % self.prime)
-        object.__setattr__(self, "_xd", dict(x))
-        object.__setattr__(self, "_yd", dict(y))
-        object.__setattr__(self, "_den_inv", {})
+        beta = self.beta % self.prime
         for _, v in x + y:
-            if (1 + self.beta * v) % self.prime == 0:
+            if (1 + beta * v) % self.prime == 0:
                 raise EvaluationError("1 + beta*value vanishes; resample")
+        self._fill(self.prime, beta, x, y, {})
+
+    def _fill(self, prime, beta, x, y, den_inv) -> "EvaluationPoint":
+        """Set fields and caches, unchecked: a derived point passes x and y
+        sorted, reduced, nonzero, with 1 + beta*v != 0, and its parent's
+        1/(1 + beta*b), which read only b, beta and p."""
+        vars(self).update(prime=prime, beta=beta, x=x, y=y, _xd=dict(x),
+                          _yd=dict(y), _den_inv=den_inv, _closed=({}, {}))
+        return self
 
     @classmethod
     def make(cls, prime: int, beta: int, x: dict | None = None,
@@ -351,15 +352,21 @@ class EvaluationPoint:
             inv = self._den_inv[b] = field_inv(1 + self.beta * b, self.prime)
         return (a - b) * inv % self.prime
 
-    def with_x_to_y(self) -> "EvaluationPoint":
-        """Replace every x_i by y_i (the x -> y substitution)."""
-        return EvaluationPoint(self.prime, self.beta, self.y, self.y)
+    def with_x_to_y(self, sigma=None, n: int = 0) -> "EvaluationPoint":
+        """x_i := y_{sigma(i)} for 1 <= i <= n, other x_i := 0; by default
+        x_i := y_i for all i (the x -> y substitution)."""
+        x = self.y if sigma is None else tuple(
+            (i, v) for i in range(1, n + 1) if (v := self._yd.get(sigma(i))))
+        return object.__new__(EvaluationPoint)._fill(
+            self.prime, self.beta, x, self.y, self._den_inv)
 
     def omega1(self) -> "EvaluationPoint":
         """x_i -> (-)x_{1-i} and y_i -> (-)y_{1-i}."""
-        newx = tuple((1 - i, self.ominus(0, v)) for i, v in self._xd.items())
-        newy = tuple((1 - j, self.ominus(0, v)) for j, v in self._yd.items())
-        return EvaluationPoint(self.prime, self.beta, newx, newy)
+        # 1 - i reverses the order; 1 + beta*((-)(0, v)) = 1/(1 + beta*v)
+        x, y = (tuple((1 - i, self.ominus(0, v)) for i, v in reversed(vals))
+                for vals in (self.x, self.y))
+        return object.__new__(EvaluationPoint)._fill(
+            self.prime, self.beta, x, y, self._den_inv)
 
 
 SAMPLE_TRIES = 100

@@ -153,7 +153,7 @@ class Semiring(NamedTuple):
 COUNTS = Semiring(0, 1, operator.add, operator.mul)
 
 
-def tableau_sum(spec: EnumSpec, semiring: Semiring, top, extra):
+def tableau_sum(spec: EnumSpec, semiring: Semiring, top, extra, forms=None):
     """Sum over the tableaux of spec of the product of their cell weights,
     by a transfer DP over the rows of the shape's _layout, whose state is
     the largest value of each cell that the next row reads.
@@ -162,9 +162,11 @@ def tableau_sum(spec: EnumSpec, semiring: Semiring, top, extra):
     (set by its row and its left and upper neighbours) up to its largest
     value M, the weights sum to top(M, d) * prod_{i=lb}^{M-1} extra(i, d),
     where extra(i, d) is `one` (i left out) plus the weight of i held below
-    M (Buch's set-valued tableaux).  An empty shape sums to `one`."""
+    M (Buch's set-valued tableaux).  An empty shape sums to `one`.  `forms`
+    caches closed forms by (lb, hi, d), per call unless a caller with fixed
+    semiring, top and extra shares one."""
     add, mul = semiring.add, semiring.mul
-    forms: dict = {}  # (lb, hi, d) -> the closed form for M = lb..hi
+    forms = {} if forms is None else forms
     cells, cuts = _layout(spec.shape.props.rows)
     # states: maxima of the previous row's cells base..keep-1 -> sum
     states, base = {(): semiring.one}, 0
@@ -250,22 +252,6 @@ def enumerate_tableaux(spec: EnumSpec):
                 yield from fill(i + 1)
 
     yield from fill(0)
-
-
-def admits(spec: EnumSpec, t: SetValuedTableau) -> bool:
-    """Whether t would be yielded by enumerate_tableaux(spec).
-
-    Semistandardness is already enforced by the tableau type, so membership
-    reduces to the per-cell value bounds; this avoids enumerating specs
-    whose full tableau count is astronomical.
-    """
-    if t.shape != spec.shape:
-        return False
-    for (r, _), cell in t.cells():
-        lo, hi = cell_bounds(spec, r)
-        if cell[0] < lo or cell[-1] > hi:
-            return False
-    return True
 
 
 def _weight(t: _Tableau, point: EvaluationPoint, x_first: bool) -> int:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import groupby, permutations as iter_permutations
 
-from .grothendieck import (ORBIT_PRIME, field_sum, g_eval, grothendieck_poly,
-                           gvex_checker)
+from .grothendieck import (ORBIT_PRIME, ascent_chain, field_sum, g_eval,
+                           grothendieck_poly, gvex_checker)
 from .perms import Permutation
 from .pipeline import (chi_flags, j_coefficient, j_numeric, j_plus_numeric,
                        pi_chain)
@@ -183,14 +183,6 @@ def suite_decompose(cfg: RunConfig) -> dict:
 # Suite: pi — the value-shifting permutation identity and flag chain.
 
 
-def _chain_point(base: EvaluationPoint, pi: Permutation, nmax: int):
-    """x_i := y_{pi(i)} on 1..nmax, keeping y as sampled."""
-    return EvaluationPoint.make(base.prime, base.beta,
-                                {i: base.y_val(pi(i))
-                                 for i in range(1, nmax + 1)},
-                                {j: base.y_val(j) for j in base.y_support})
-
-
 def _pi_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
     lam, phi = Partition(inst[0]), Flag(inst[1])
     key = f"lam={lam.parts} phi={phi.bounds}"
@@ -209,7 +201,7 @@ def _pi_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
             base = sample_point(cfg.prime, rng, (),
                                 range(1 - len(lam) - 1, nmax + lam.part(1) + 1))
             vals = [g_eval(lower, chis[i], "positive",
-                           _chain_point(base, pis[i], nmax))
+                           base.with_x_to_y(pis[i], nmax))
                     for i in range(len(pis))]
             checks += 1
             if len(set(vals)) != 1:
@@ -257,9 +249,7 @@ def _gvex_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
     images, base = inst
     w = Permutation.from_one_line(images, base)
     key = f"w={','.join(map(str, images))}@{base}" if images else "w=id"
-    # the orbit engine multiplies two field values in int64
-    prime = cfg.prime if cfg.prime ** 2 < 2**63 else ORBIT_PRIME
-    points = gvex_points(prime, cfg.seed, cfg.trials)
+    points = gvex_points(cfg.prime, cfg.seed, cfg.trials)
     try:
         check = gvex_checker(w, p=GVEX_P0, n=GVEX_N)
     except ValueError as exc:
@@ -275,9 +265,15 @@ def _gvex_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
 
 
 def suite_gvex(cfg: RunConfig) -> dict:
-    # every Grassmannian w_lam with |lam| <= 3 sits inside this sweep
-    instances = [(w.images, w.lo) for w in all_vexillary(-2, 3)]
-    return _collect("gvex", _gvex_instance, instances, cfg)
+    if cfg.prime ** 2 >= 2**63:  # the orbit engine multiplies in int64
+        cfg = replace(cfg, prime=ORBIT_PRIME)
+    # every Grassmannian w_lam with |lam| <= 3 sits inside this sweep; depth
+    # first in the orbit tree, each point's table steps each node once
+    ws = sorted(all_vexillary(-2, 3), key=lambda w: ascent_chain(
+        w.iota(GVEX_P0).one_line(1, GVEX_N)))
+    return {**_collect("gvex", _gvex_instance,
+                       [(w.images, w.lo) for w in ws], cfg),
+            "prime": cfg.prime}
 
 
 # ---------------------------------------------------------------------------

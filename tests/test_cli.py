@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from egc import cli, perms
 from egc.cli import main, parse_ints, parse_range
+from egc.perms import code_of
 from egc.verify import verify_identities
 
 
@@ -98,6 +100,26 @@ def test_perm_oneline(capsys):
 def test_perm_word_non_vexillary(capsys):
     code, out, _ = run(capsys, "perm", "--word", "1,2,-1,0")
     assert code == 0 and "vexillary: False" in out
+
+
+@pytest.mark.parametrize("argv", [["--oneline", "3,4,5,1,6,2", "--base", "1"],
+                                  ["--word", "1,2,-1,0"]],
+                         ids=["vexillary", "not-vexillary"])
+def test_perm_takes_two_code_passes(monkeypatch, capsys, argv):
+    # the code of w and the code of w^-1, however much of the report
+    # reads them
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return code_of(w)
+
+    monkeypatch.setattr(perms, "code_of", counted)
+    monkeypatch.setattr(cli, "code_of", counted)
+    code, out, _ = run(capsys, "perm", *argv)
+    assert code == 0 and len(calls) == 2
+    assert sorted(map(str, calls)) == sorted([str(calls[0]),
+                                              str(calls[0].inverse())])
 
 
 def test_perm_empty_word_is_identity(capsys):

@@ -52,6 +52,26 @@ def test_dp_matches_enumeration():
             assert field_sum(spec, pt) == enum_sum(spec, pt)
 
 
+def test_field_sum_at_a_warm_point_matches_enumeration():
+    # a point keeps field_sum's f values and closed forms across calls.
+    # The two specs differ in window, sign and flag and share some (lb, d)
+    # with a different hi, so a cache keyed without hi gives a wrong sum;
+    # a derived point has x values of its own, so it must not share them
+    rng = random.Random(22)
+    shape = SkewShape(Partition((2, 1)))
+    specs = [EnumSpec(shape, None, "any", (-2, 2)),
+             EnumSpec(shape, Flag((1, 2)), "positive", (1, 3))]
+    for order in (specs, specs[::-1]):
+        pt = sample_point(P, rng, range(-2, 4), range(-3, 6))
+        for spec in order:
+            cold = EvaluationPoint.make(P, pt.beta, dict(pt.x), dict(pt.y))
+            assert field_sum(spec, pt) == enum_sum(spec, pt) == \
+                field_sum(spec, cold)
+        for derived in (pt.with_x_to_y(), pt.omega1()):
+            for spec in order:
+                assert field_sum(spec, derived) == enum_sum(spec, derived)
+
+
 def test_insufficient_window_rejected():
     pt = EvaluationPoint.make(P, 1, {-5: 3}, {})
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from egc.ring import (DEFAULT_PRIME, EvaluationError, EvaluationPoint,
                       eval_graham, factor_code, factor_sort_key, factor_type,
                       field_inv, is_prime, isobaric, ominus, omega1_code,
                       omega1_factor, prec, sample_point)
+from egc.perms import Permutation
 from egc.verify import RunConfig
 
 P = 101
@@ -222,6 +223,40 @@ def test_evaluation_point_omega1():
     assert w.x_val(0) == ominus(0, 5, 2, P)
     assert w.y_val(1) == ominus(0, 3, 2, P)
     assert w.omega1() == pt
+
+
+def test_derived_points_match_the_checked_constructor():
+    # with_x_to_y, its x_i := y_{sigma(i)} form (the pi suite's chain
+    # points) and omega1 skip the constructor's sorting and checks; each
+    # must build the point the constructor builds, with the same (-)
+    rng = random.Random(21)
+    for prime in (P, DEFAULT_PRIME):
+        for _ in range(40):
+            pt = sample_point(prime, rng, range(-3, 4), range(-4, 6))
+            images = list(range(-4, 8))
+            rng.shuffle(images)
+            sigma, n = Permutation.from_one_line(images, -4), rng.randrange(8)
+            x, y, beta = dict(pt.x), dict(pt.y), pt.beta
+            expected = [
+                (pt.with_x_to_y(), EvaluationPoint(prime, beta, pt.y, pt.y)),
+                (pt.with_x_to_y(sigma, n), EvaluationPoint.make(
+                    prime, beta, {i: pt.y_val(sigma(i))
+                                  for i in range(1, n + 1)}, y)),
+                (pt.omega1(), EvaluationPoint.make(
+                    prime, beta,
+                    {1 - i: ominus(0, v, beta, prime) for i, v in x.items()},
+                    {1 - j: ominus(0, v, beta, prime) for j, v in y.items()}))]
+            for derived, checked in expected:
+                assert derived == checked
+                assert (derived.x, derived.y) == (checked.x, checked.y)
+                assert [(derived.x_val(i), derived.y_val(i))
+                         for i in range(-8, 10)] == \
+                    [(checked.x_val(i), checked.y_val(i))
+                     for i in range(-8, 10)]
+                a = rng.randrange(prime)
+                for b in (v for _, v in checked.x + checked.y):
+                    assert derived.ominus(a, b) == checked.ominus(a, b) == \
+                        ominus(a, b, beta, prime)
 
 
 def test_sample_point_distinct():

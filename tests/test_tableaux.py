@@ -11,14 +11,31 @@ from hypothesis import strategies as st
 from egc.ring import EvaluationPoint, ominus, sample_point
 from egc.shapes import Flag, Partition, SkewShape, subpartitions
 from egc.tableaux import (EnumSpec, RowStrictDecreasingTableau,
-                          SetValuedTableau, _built, _layout, _subsets, admits,
-                          enumerate_tableaux, merge, omega1_inverse,
-                          omega1_tableau, r_weight_eval, split, weight_eval)
+                          SetValuedTableau, _built, _layout, _subsets,
+                          cell_bounds, enumerate_tableaux, merge,
+                          omega1_inverse, omega1_tableau, r_weight_eval,
+                          split, weight_eval)
 from egc.verify import _count, partitions_up_to
 
 P = 10007
 # the tableau {-2,-1} {-1,1} {1,3} ; {0,1} {2} of shape (3,2)
 T32 = (((-2, -1), (-1, 1), (1, 3)), ((0, 1), (2,)))
+
+
+def admits(spec: EnumSpec, t: SetValuedTableau) -> bool:
+    """Whether t would be yielded by enumerate_tableaux(spec).
+
+    Semistandardness is already enforced by the tableau type, so membership
+    reduces to the per-cell value bounds; this avoids enumerating specs
+    whose full tableau count is astronomical.
+    """
+    if t.shape != spec.shape:
+        return False
+    for (r, _), cell in t.cells():
+        lo, hi = cell_bounds(spec, r)
+        if cell[0] < lo or cell[-1] > hi:
+            return False
+    return True
 
 
 def test_semistandard_validation():

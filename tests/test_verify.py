@@ -6,10 +6,11 @@ import os
 
 import pytest
 
-from egc import ring, verify
-from egc.ring import EvaluationPoint, GrahamSum, factor_code
-from egc.verify import (SUITES, RunConfig, all_vexillary, partitions_up_to,
-                        verify_identities)
+from egc import grothendieck, ring, verify
+from egc.grothendieck import ORBIT_PRIME
+from egc.ring import DEFAULT_PRIME, EvaluationPoint, GrahamSum, factor_code
+from egc.verify import (GVEX_N, GVEX_P0, SUITES, RunConfig, all_vexillary,
+                        partitions_up_to, verify_identities)
 
 
 def test_partitions_up_to():
@@ -81,6 +82,46 @@ def test_all_vexillary_small():
     ws = all_vexillary(1, 3)
     assert len(ws) == 6  # every element of S_3 avoids the pattern
     assert len(all_vexillary(1, 4)) == 23  # 24 minus 2143 itself
+
+
+def test_gvex_sweep_visits_each_vexillary_w_once(monkeypatch):
+    seen = []
+
+    def record(cfg, inst):
+        seen.append((inst, cfg.prime))
+        return 0, []
+
+    monkeypatch.setattr(verify, "_gvex_instance", record)
+    ws = sorted((w.images, w.lo) for w in all_vexillary(-2, 3))
+    for prime, used in ((DEFAULT_PRIME, ORBIT_PRIME), (1000003, 1000003)):
+        seen.clear()
+        assert verify_identities("gvex", prime=prime)["prime"] == used
+        assert len(seen) == len(ws) == 513
+        assert sorted(inst for inst, _ in seen) == ws
+        assert {p for _, p in seen} == {used}
+
+
+def test_gvex_sweep_steps_each_tree_node_once(monkeypatch):
+    # the nodes other than w_0 on the paths from w_0 down to each
+    # iota^4(w) in S_7, where the parent of u is u*s_a for u's last ascent a
+    nodes = set()
+    for w in all_vexillary(-2, 3):
+        line = w.iota(GVEX_P0).one_line(1, GVEX_N)
+        while a := max((a for a in range(1, len(line))
+                        if line[a - 1] < line[a]), default=0):
+            nodes.add(line)
+            line = line[:a - 1] + (line[a], line[a - 1]) + line[a + 1:]
+    assert len(nodes) == 666
+    steps, op = [], grothendieck.OrbitTable._op
+
+    def counted(self, F, i):
+        steps.append(i)
+        return op(self, F, i)
+
+    monkeypatch.setattr(grothendieck.OrbitTable, "_op", counted)
+    grothendieck._orbit_table.cache_clear()  # one new table, empty path
+    assert verify_identities("gvex", trials=1)["ok"]
+    assert len(steps) == len(nodes)
 
 
 def test_suite_ring():
