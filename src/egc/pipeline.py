@@ -1,13 +1,13 @@
 """The Graham-positive coefficient pipeline: flag splitting, the unique
-middle partition, the diagonal split, the value-shifting permutation
-algorithm, and the j-coefficient as a product of two Graham sums.
+middle partition, the value-shifting permutations, and the j-coefficient
+as a product of two Graham sums, each a product of two part sums.
 
 A parallel "numeric" route assembles the same coefficient from windowed
 tableau-sum evaluations with x substituted by y, and the two cross-check
 each other.  Both routes sum over tableaux with the one transfer DP,
 tableaux.tableau_sum: the symbolic route over factor multisets, the numeric
-route over F_p.  That kernel is checked in turn against tableau enumeration
-(grothendieck.enum_sum, in the oracle tests).
+route over F_p and whole shapes.  That kernel is checked in turn against
+tableau enumeration (grothendieck.enum_sum, in the oracle tests).
 
 The symbolic route never rebuilds a monomial.  The DP emits each factor
 (i, j) as its int code (ring.factor_code, whose plain order is the
@@ -27,18 +27,10 @@ from .grothendieck import g_eval
 from .perms import Permutation, code_shape_flag
 from .ring import (EvaluationPoint, GrahamSum, add_terms, factor_code,
                    mul_terms, omega1_code)
-from .shapes import (Flag, Partition, SkewShape, delta_seq, diagonal_split,
+from .shapes import (Flag, Partition, SkewShape, delta_seq,
                      disconnected_inners, flag_split, is_compatible, q_of,
                      skew_props, xi_flag)
 from .tableaux import EnumSpec, Semiring, tableau_sum
-
-
-def _vanishes(outer: Partition, inner: Partition, phi: Flag) -> bool:
-    """Every coefficient through outer/inner is zero: the shape has a
-    diagonal cell, or a cell in a row where phi is 0."""
-    props = skew_props(outer.parts, inner.parts)
-    return props.has_diagonal_cell or \
-        any(phi.entry(r) == 0 for r in props.rows_occupied)
 
 
 @lru_cache(maxsize=1024)
@@ -88,22 +80,28 @@ def half_sum(shape: SkewShape, flag: Flag, factor) -> dict:
 
 
 def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
-    """Sum over inner shapes mu <= nu with nu/mu disconnected; each summand
-    is assembled from the diagonal split of lambda/mu: cells above the
-    diagonal give factors (i, i+c-r), cells below give (pi(i), i+c-r)."""
+    """Sum over mu <= nu, nu/mu disconnected, of the tableau sums of lambda/mu,
+    as one product of part sums cut below row q = q_of(lam): rows 1..q give
+    factors (i, i+c-r) under phi_+, lower rows (pi(i), i+c-r) under psi, and
+    each part picks from disconnected_inners of its rows of nu.  Exact: mu_q
+    < q puts the cell (q, q) in lambda/mu, a zero summand, and mu_q >= q >=
+    lambda_{q+1} >= nu_{q+1} keeps mu a partition with no cell dropped below
+    one of row q.  A row where phi_+ is 0 (psi_r <= 0 too) admits no value."""
     if not lam.contains(nu):
         raise ValueError(f"nu {nu} not contained in lambda {lam}")
     psi, pis = pi_chain(lam, phi_plus)  # validates the flag
-    pi = pis[-1]
-    total = FACTOR_SUMS.zero
-    for mu in disconnected_inners(nu):
-        if _vanishes(lam, mu, phi_plus):
-            continue
-        upper, lower = diagonal_split(SkewShape(lam, mu))
-        total = add_terms(total, mul_terms(
-            half_sum(upper, phi_plus, lambda m, d: factor_code((m, m + d))),
-            half_sum(lower, psi, lambda m, d: factor_code((pi(m), m + d)))))
-    return GrahamSum(total, nu.size - lam.size)
+    pi, q, parts = pis[-1], q_of(lam), lam.parts
+    upper = lower = FACTOR_SUMS.zero
+    for alpha in disconnected_inners(Partition(nu.parts[:q])):
+        if alpha.part(q) >= q:  # else (q, q) is a cell of lambda/mu
+            upper = add_terms(upper, half_sum(
+                SkewShape(lam, Partition(alpha.parts + parts[q:])), phi_plus,
+                lambda m, d: factor_code((m, m + d))))
+    for beta in disconnected_inners(Partition(nu.parts[q:])):
+        lower = add_terms(lower, half_sum(
+            SkewShape(lam, Partition(parts[:q] + beta.parts)), psi,
+            lambda m, d: factor_code((pi(m), m + d))))
+    return GrahamSum(mul_terms(upper, lower), nu.size - lam.size)
 
 
 def j_minus(nu_c: Partition, xi: Flag, rho_c: Partition) -> GrahamSum:
@@ -134,7 +132,9 @@ def build_context(lam: Partition, phi: Flag, rho: Partition) -> PipelineContext:
     if not is_compatible(lam, phi):
         raise ValueError(f"flag {phi} not compatible with {lam}")
     q = q_of(lam)
-    if not lam.contains(rho) or _vanishes(lam, rho, phi):
+    props = skew_props(lam.parts, rho.parts) if lam.contains(rho) else None
+    if props is None or props.has_diagonal_cell or \
+            any(phi.entry(r) == 0 for r in props.rows_occupied):
         return PipelineContext(q, None, "zero", None, None)
     nu = Partition(tuple(lam.part(r) if phi.entry(r) <= 0 else rho.part(r)
                          for r in range(1, len(lam) + 1)))

@@ -24,11 +24,19 @@ class EvaluationError(ArithmeticError):
     """A denominator vanished at the evaluation point; caller resamples."""
 
 
+# the least strong pseudoprime to all twelve prime bases 2..37
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 @lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3317044064679887385961981.
+    """Deterministic Miller-Rabin for n < MILLER_RABIN_BOUND.  The twelve
+    bases cannot decide an n at or above the bound, so it raises ValueError.
 
     Cached: every evaluation point checks its prime, and a run uses few."""
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"{n} is not below {MILLER_RABIN_BOUND}, the bound "
+                         "under which primality is decided")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

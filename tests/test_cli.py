@@ -253,3 +253,11 @@ print(backstable_approx(w, 0, pt) == poly, "numpy" in sys.modules)
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.split("\n") == ["False False", "False", "True True", ""]
+
+
+def test_verify_refuses_a_prime_it_cannot_decide(capsys):
+    # the least strong pseudoprime to every base is_prime tries: over Z/n,
+    # which is not a field, the ring suite would report a pass
+    code, out, err = run(capsys, "verify", "--suite", "ring", "--prime",
+                         "3317044064679887385961981")
+    assert code == 1 and out == "" and "3317044064679887385961981" in err

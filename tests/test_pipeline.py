@@ -12,9 +12,10 @@ from egc.perms import Permutation
 from egc.pipeline import (build_context, chi_flags, half_sum, j_coefficient,
                           j_minus, j_numeric, j_of_permutation, j_plus,
                           pi_chain, unique_nu)
-from egc.ring import (DEFAULT_PRIME, GrahamMonomial, GrahamSum, eval_graham,
-                      sample_point)
-from egc.shapes import (Flag, Partition, SkewShape, compatible_flags, q_of,
+from egc.ring import (DEFAULT_PRIME, GrahamMonomial, GrahamSum, add_terms,
+                      eval_graham, factor_code, mul_terms, sample_point)
+from egc.shapes import (Flag, Partition, SkewShape, compatible_flags,
+                        diagonal_split, disconnected_inners, q_of,
                         subpartitions)
 from egc.tableaux import EnumSpec, enumerate_tableaux
 from egc.verify import partitions_up_to, verify_identities
@@ -94,6 +95,46 @@ def test_j_plus_fixtures():
         gsum({mono((2, 0)): 1}, -1)
     assert j_plus(Partition((1,)), Flag((1,)), Partition((1,))) == \
         GrahamSum.one()
+
+
+def _j_plus_by_inner_shapes(lam, phi_plus, nu):
+    """j_plus as a sum over whole inner shapes: for each mu <= nu with nu/mu
+    disconnected, skip lambda/mu if it has a diagonal cell or a cell in a
+    row where phi_+ is 0, else cut it with diagonal_split and multiply the
+    half sum above the diagonal by the one below."""
+    psi, pis = pi_chain(lam, phi_plus)
+    total = {}
+    for mu in disconnected_inners(nu):
+        shape = SkewShape(lam, mu)
+        if shape.props.has_diagonal_cell or any(
+                phi_plus.entry(r) == 0 for r in shape.props.rows_occupied):
+            continue
+        upper, lower = diagonal_split(shape)
+        total = add_terms(total, mul_terms(
+            half_sum(upper, phi_plus, lambda m, d: factor_code((m, m + d))),
+            half_sum(lower, psi,
+                     lambda m, d: factor_code((pis[-1](m), m + d)))))
+    return GrahamSum(total, nu.size - lam.size)
+
+
+def test_j_plus_matches_sum_over_inner_shapes():
+    """The product of two part sums equals the sum over whole inner shapes:
+    on every (lambda, phi_+, nu) with |lambda| <= 5, phi_+ in [0, 4] and
+    any nu <= lambda (diagonal cells and zero rows included), and on every
+    half the theorem sweep meets at |lambda| <= 5 with flags in [-3, 3]."""
+    triples = {(lam, phi, nu) for lam in partitions_up_to(5)
+               for phi in compatible_flags(lam, 0, 4)
+               for nu in subpartitions(lam)}
+    halves = set()
+    for lam in partitions_up_to(5):
+        for phi in compatible_flags(lam, -3, 3):
+            for rho in subpartitions(lam):
+                ctx = build_context(lam, phi, rho)
+                if ctx.nu is not None:
+                    halves |= {ctx.upper, ctx.lower}
+    assert (len(triples), len(halves)) == (1974, 801)
+    for case in triples | halves:
+        assert j_plus(*case) == _j_plus_by_inner_shapes(*case), case
 
 
 def test_j_minus_fixtures():
@@ -267,6 +308,9 @@ def test_build_context_cases():
     assert ctx.case == "both"
     zero = build_context(Partition((1,)), Flag((0,)), Partition(()))
     assert zero.case == "zero"
+    # the diagonal cell (1,1) alone makes it zero: phi_1 is not 0
+    diagonal = build_context(Partition((1,)), Flag((1,)), Partition(()))
+    assert (diagonal.case, diagonal.nu) == ("zero", None)
 
 
 def test_cross_representation():

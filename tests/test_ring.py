@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from egc.ring import (DEFAULT_PRIME, EvaluationError, EvaluationPoint,
-                      GrahamMonomial, GrahamSum, SparsePoly, code_factor,
-                      eval_graham, factor_code, factor_sort_key, factor_type,
-                      field_inv, is_prime, isobaric, ominus, omega1_code,
-                      omega1_factor, prec, sample_point)
+from egc.ring import (DEFAULT_PRIME, MILLER_RABIN_BOUND, EvaluationError,
+                      EvaluationPoint, GrahamMonomial, GrahamSum, SparsePoly,
+                      code_factor, eval_graham, factor_code, factor_sort_key,
+                      factor_type, field_inv, is_prime, isobaric, ominus,
+                      omega1_code, omega1_factor, prec, sample_point)
 from egc.perms import Permutation
 from egc.verify import RunConfig
 
@@ -39,12 +39,25 @@ def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not is_prime(n)  # and again, from the cache
 
 
+def test_is_prime_refuses_what_it_cannot_decide():
+    # the bound is 1,287,836,182,261 * 2,575,672,364,521 and passes all
+    # twelve bases; from it on the test would call composites prime
+    assert MILLER_RABIN_BOUND == 1287836182261 * 2575672364521
+    for n in (MILLER_RABIN_BOUND, MILLER_RABIN_BOUND + 2, 2**89 - 1):
+        for _ in range(2):  # a refusal is never cached as an answer
+            with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
+                is_prime(n)
+    # below the bound it still decides; bound - 2 is divisible by 17
+    assert not is_prime(MILLER_RABIN_BOUND - 2)
+
+
 def test_composite_prime_rejected_every_time():
-    for _ in range(2):  # the second call finds is_prime's cache warm
-        with pytest.raises(ValueError):
-            EvaluationPoint(91, 1)
-        with pytest.raises(ValueError):
-            RunConfig(prime=91)
+    for n in (91, MILLER_RABIN_BOUND):
+        for _ in range(2):  # the second call finds is_prime's cache warm
+            with pytest.raises(ValueError):
+                EvaluationPoint(n, 1)
+            with pytest.raises(ValueError):
+                RunConfig(prime=n)
 
 
 @pytest.mark.parametrize("p", [101, 2**31 - 1, DEFAULT_PRIME])
