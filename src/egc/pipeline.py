@@ -92,15 +92,15 @@ def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
     psi, pis = pi_chain(lam, phi_plus)  # validates the flag
     pi, q, parts = pis[-1], q_of(lam), lam.parts
     upper = lower = FACTOR_SUMS.zero
-    for alpha in disconnected_inners(Partition(nu.parts[:q])):
-        if alpha.part(q) >= q:  # else (q, q) is a cell of lambda/mu
-            upper = add_terms(upper, half_sum(
-                SkewShape(lam, Partition(alpha.parts + parts[q:])), phi_plus,
-                lambda m, d: factor_code((m, m + d))))
     for beta in disconnected_inners(Partition(nu.parts[q:])):
         lower = add_terms(lower, half_sum(
             SkewShape(lam, Partition(parts[:q] + beta.parts)), psi,
             lambda m, d: factor_code((pi(m), m + d))))
+    for alpha in (disconnected_inners(Partition(nu.parts[:q])) if lower else ()):
+        if alpha.part(q) >= q:  # else (q, q) is a cell of lambda/mu
+            upper = add_terms(upper, half_sum(
+                SkewShape(lam, Partition(alpha.parts + parts[q:])), phi_plus,
+                lambda m, d: factor_code((m, m + d))))
     return GrahamSum(mul_terms(upper, lower), nu.size - lam.size)
 
 

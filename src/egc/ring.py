@@ -24,13 +24,14 @@ class EvaluationError(ArithmeticError):
     """A denominator vanished at the evaluation point; caller resamples."""
 
 
-# the least strong pseudoprime to all twelve prime bases 2..37
+# the thirteen prime bases 2..41, and the least strong pseudoprime to them
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 @lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < MILLER_RABIN_BOUND.  The twelve
+    """Deterministic Miller-Rabin for n < MILLER_RABIN_BOUND.  The thirteen
     bases cannot decide an n at or above the bound, so it raises ValueError.
 
     Cached: every evaluation point checks its prime, and a run uses few."""
@@ -39,14 +40,14 @@ def is_prime(n: int) -> bool:
                          "under which primality is decided")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in MILLER_RABIN_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from egc.ring import (DEFAULT_PRIME, MILLER_RABIN_BOUND, EvaluationError,
-                      EvaluationPoint, GrahamMonomial, GrahamSum, SparsePoly,
+from egc.ring import (DEFAULT_PRIME, MILLER_RABIN_BASES, MILLER_RABIN_BOUND,
+                      EvaluationError, EvaluationPoint, GrahamMonomial, GrahamSum, SparsePoly,
                       code_factor, eval_graham, factor_code, factor_sort_key,
                       factor_type, field_inv, is_prime, isobaric, ominus,
                       omega1_code, omega1_factor, prec, sample_point)
@@ -30,19 +30,30 @@ def test_is_prime_matches_trial_division():
         [n for n in range(10**4) if by_division(n)]
 
 
-@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051,
+                               318665857834031151167461])
 def test_is_prime_rejects_strong_pseudoprimes(n):
-    # 561 is a Carmichael number; the others are strong pseudoprimes to the
-    # bases 2, 3, 5, 7 and to every prime base up to 23, so a Miller-Rabin
+    # 561 is a Carmichael number; the others are the least strong
+    # pseudoprimes to the prime bases up to 7, 23 and 37, so a Miller-Rabin
     # test with fewer bases passes them
     assert not is_prime(n)
     assert not is_prime(n)  # and again, from the cache
 
 
 def test_is_prime_refuses_what_it_cannot_decide():
-    # the bound is 1,287,836,182,261 * 2,575,672,364,521 and passes all
-    # twelve bases; from it on the test would call composites prime
+    # the bound is 1,287,836,182,261 * 2,575,672,364,521, the least strong
+    # pseudoprime to the thirteen bases 2..41: it passes every base tried,
+    # so from it on the test would call composites prime
     assert MILLER_RABIN_BOUND == 1287836182261 * 2575672364521
+    assert MILLER_RABIN_BASES == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+                                  41)
+    d, s = MILLER_RABIN_BOUND - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, MILLER_RABIN_BOUND)
+        assert x in (1, MILLER_RABIN_BOUND - 1) or MILLER_RABIN_BOUND - 1 in (
+            pow(x, 2 ** i, MILLER_RABIN_BOUND) for i in range(1, s))
     for n in (MILLER_RABIN_BOUND, MILLER_RABIN_BOUND + 2, 2**89 - 1):
         for _ in range(2):  # a refusal is never cached as an answer
             with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
@@ -52,7 +63,7 @@ def test_is_prime_refuses_what_it_cannot_decide():
 
 
 def test_composite_prime_rejected_every_time():
-    for n in (91, MILLER_RABIN_BOUND):
+    for n in (91, 318665857834031151167461, MILLER_RABIN_BOUND):
         for _ in range(2):  # the second call finds is_prime's cache warm
             with pytest.raises(ValueError):
                 EvaluationPoint(n, 1)
