@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import groupby, permutations as iter_permutations
+from operator import le
 
 from .grothendieck import (ORBIT_PRIME, ascent_chain, field_sum, g_eval,
                            grothendieck_poly, gvex_checker)
@@ -96,87 +97,99 @@ def _count(spec: EnumSpec) -> int:  # a cell's largest value M: 2^{M-lb} sets
 # Suite: decompose — split/merge bijection and the flagged decomposition.
 
 
-def _decompose_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
-    prime, trials, window = cfg.prime, cfg.trials, cfg.window
-    lam, phi = Partition(inst[0]), Flag(inst[1])
-    key = f"lam={lam.parts} phi={phi.bounds}"
-    checks, failures = 0, []
-    wlo, whi = window
+def _decompose_group(cfg: RunConfig, group) -> tuple[int, list[str]]:
+    prime, lam, flags = cfg.prime, Partition(group[0]), group[1]
     shape = SkewShape(lam)
+    checks, failures, tally = 0, [], {}
 
-    # split/merge are mutually inverse; the multiset of resulting shape
-    # pairs matches the product counts on the right-hand side.  Direct
-    # enumeration is exponential in the shape, so the bijection part stays
-    # on small shapes; the sampled identities below scale further.
+    # split/merge are mutually inverse, and each flag's shape pairs match
+    # the product counts.  A flag caps row maxima, so each tableau is split
+    # once, under the pointwise largest flag (itself compatible), and
+    # tallied by its row maxima.  Enumeration is exponential: small shapes
+    # only.
     run_bijection = lam.size <= 4
-    phi_minus, phi_plus = flag_split(phi)
     if run_bijection:
-        left: dict[tuple, int] = {}
-        for t in enumerate_tableaux(EnumSpec(shape, phi, "any", window)):
+        top = Flag(tuple(map(max, zip(*flags))))
+        for t in enumerate_tableaux(EnumSpec(shape, top, "any", cfg.window)):
             tm, tp = split(t)
+            maxima = tuple(row[-1][-1] for row in t.rows)
             checks += 1
+            # a failure names the least flag admitting t, an instance too
             if merge(tm, tp).rows != t.rows:
-                failures.append(f"{key}: merge(split(T)) != T for "
-                                f"{t.to_text()!r}")
-            pair = (tm.shape.outer.parts, tp.shape.inner.parts)
-            left[pair] = left.get(pair, 0) + 1
-        right: dict[tuple, int] = {}
-        for nu in subpartitions(lam):
-            n_minus = _count(EnumSpec(SkewShape(nu), phi_minus, "nonpositive",
-                                      window))
-            if n_minus == 0:
-                continue
-            for mu in disconnected_inners(nu):
-                n_plus = _count(EnumSpec(SkewShape(lam, mu), phi, "positive",
-                                         window))
-                if n_plus:
-                    right[(nu.parts, mu.parts)] = n_minus * n_plus
-        checks += 1
-        if left != right:
-            failures.append(f"{key}: shape-pair counts differ "
-                            f"(left {sorted(left.items())}, "
-                            f"right {sorted(right.items())})")
+                least = map(min, zip(*(b for b in flags
+                                       if all(map(le, maxima, b)))))
+                failures.append(f"lam={lam.parts} phi={tuple(least)}: "
+                                f"merge(split(T)) != T for {t.to_text()!r}")
+            k = maxima, (tm.shape.outer.parts, tp.shape.inner.parts)
+            tally[k] = tally.get(k, 0) + 1
 
-    # numeric decomposition at sampled points, with the skew factor read
-    # both under the full flag and under its nonnegative part.
-    rng = _stream(cfg.seed, f"decompose:{key}")
-    wlo = min(wlo, 1 - lam.part(1))
-    for _ in range(trials):
-        pt = sample_point(prime, rng, range(1, whi + 1), range(1, whi + 1))
-        lhs = g_eval(shape, phi, "any", pt, (wlo, whi))
-        # each nu's nonpositive factor serves both skew flags
-        outers = [(nu, outer) for nu in subpartitions(lam)
-                  if (outer := g_eval(SkewShape(nu), phi_minus, "nonpositive",
-                                      pt, (wlo, whi)))]
-        for skew_flag in (phi, phi_plus):
-            rhs = sum(outer * j_plus_numeric(lam, skew_flag, nu, pt,
-                                             (wlo, whi))
-                      for nu, outer in outers) % prime
+    lo, hi = win = (min(cfg.window[0], 1 - lam.part(1)), cfg.window[1])
+    for phi in map(Flag, flags):
+        key = f"lam={lam.parts} phi={phi.bounds}"
+        phi_minus, phi_plus = flag_split(phi)
+        if run_bijection:
+            left, right = {}, {}
+            for (maxima, pair), n in tally.items():
+                if all(map(le, maxima, phi.bounds)):
+                    left[pair] = left.get(pair, 0) + n
+            for nu in subpartitions(lam):
+                n_minus = _count(EnumSpec(SkewShape(nu), phi_minus,
+                                          "nonpositive", cfg.window))
+                if not n_minus:
+                    continue
+                for mu in disconnected_inners(nu):
+                    if n_plus := _count(EnumSpec(SkewShape(lam, mu), phi,
+                                                 "positive", cfg.window)):
+                        right[(nu.parts, mu.parts)] = n_minus * n_plus
             checks += 1
-            if lhs != rhs:
-                failures.append(f"{key}: decomposition mismatch at {pt} "
-                                f"(skew flag {skew_flag.bounds})")
+            if left != right:
+                failures.append(f"{key}: shape-pair counts differ "
+                                f"(left {sorted(left.items())}, "
+                                f"right {sorted(right.items())})")
 
-    # flag symmetry: swapping x_i, x_{i+1} leaves the sum unchanged
-    # whenever no row's flag separates the two indices.
-    for _ in range(trials):
-        pt = sample_point(prime, rng, range(wlo, whi + 1), range(1, whi + 1))
-        base = g_eval(shape, phi, "any", pt, (wlo, whi))
-        for i in range(wlo, whi):
-            if i in set(phi.bounds):
-                continue
-            sw = dict(pt.x)
-            sw[i], sw[i + 1] = sw.get(i + 1, 0), sw.get(i, 0)
-            pt2 = EvaluationPoint.make(prime, pt.beta, sw, dict(pt.y))
-            checks += 1
-            if g_eval(shape, phi, "any", pt2, (wlo, whi)) != base:
-                failures.append(f"{key}: not symmetric in x_{i}, x_{i + 1}")
+        # numeric decomposition at sampled points, with the skew factor
+        # read both under the full flag and under its nonnegative part.
+        rng = _stream(cfg.seed, f"decompose:{key}")
+        for _ in range(cfg.trials):
+            pt = sample_point(prime, rng, range(1, hi + 1), range(1, hi + 1))
+            lhs = g_eval(shape, phi, "any", pt, win)
+            # each nu's nonpositive factor serves both skew flags
+            outers = [(nu, outer) for nu in subpartitions(lam)
+                      if (outer := g_eval(SkewShape(nu), phi_minus,
+                                          "nonpositive", pt, win))]
+            for skew_flag in (phi, phi_plus):
+                rhs = sum(outer * j_plus_numeric(lam, skew_flag, nu, pt, win)
+                          for nu, outer in outers) % prime
+                checks += 1
+                if lhs != rhs:
+                    failures.append(f"{key}: decomposition mismatch at {pt} "
+                                    f"(skew flag {skew_flag.bounds})")
+
+        # flag symmetry: swapping x_i, x_{i+1} leaves the sum unchanged
+        # whenever no row's flag separates the two indices.
+        for _ in range(cfg.trials):
+            pt = sample_point(prime, rng, range(lo, hi + 1), range(1, hi + 1))
+            base = g_eval(shape, phi, "any", pt, win)
+            for i in range(lo, hi):
+                if i in phi.bounds:
+                    continue
+                sw = dict(pt.x)
+                sw[i], sw[i + 1] = sw.get(i + 1, 0), sw.get(i, 0)
+                pt2 = EvaluationPoint.make(prime, pt.beta, sw, dict(pt.y))
+                checks += 1
+                if g_eval(shape, phi, "any", pt2, win) != base:
+                    failures.append(f"{key}: not symmetric in x_{i}, "
+                                    f"x_{i + 1}")
     return checks, failures
 
 
 def suite_decompose(cfg: RunConfig) -> dict:
-    return _collect("decompose", _decompose_instance,
-                    _pairs(cfg.max_size, *cfg.flag_range), cfg)
+    # a unit of work is one λ with its flags
+    pairs = _pairs(cfg.max_size, *cfg.flag_range)
+    groups = [(lam, [phi for _, phi in g])
+              for lam, g in groupby(pairs, key=lambda inst: inst[0])]
+    return {**_collect("decompose", _decompose_group, groups, cfg),
+            "instances": len(pairs)}
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +497,8 @@ def suite_ring(cfg: RunConfig) -> dict:
 
 
 def _collect(name, fn, instances, cfg):
-    """Run fn(cfg, key) on every instance key, in a process pool when
-    cfg.jobs, the CPU count and the instance count all exceed one."""
+    """Run fn(cfg, unit) on every unit of work, in a process pool when
+    cfg.jobs, the CPU count and the unit count all exceed one."""
     run = partial(fn, cfg)
     workers = min(cfg.jobs, os.cpu_count() or 1, len(instances))
     if workers > 1:

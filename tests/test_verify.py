@@ -9,6 +9,9 @@ import pytest
 from egc import grothendieck, ring, verify
 from egc.grothendieck import ORBIT_PRIME
 from egc.ring import DEFAULT_PRIME, EvaluationPoint, GrahamSum, factor_code
+from egc.shapes import Flag, Partition, SkewShape, compatible_flags
+from egc.tableaux import (EnumSpec, SetValuedTableau, enumerate_tableaux,
+                          split)
 from egc.verify import (GVEX_N, GVEX_P0, SUITES, RunConfig, all_vexillary,
                         partitions_up_to, verify_identities)
 
@@ -155,6 +158,52 @@ def test_suite_decompose_small():
     assert report["ok"]
 
 
+DECOMPOSE_SMALL = {"max_size": 3, "flag_range": (-1, 2), "window": (-2, 2),
+                   "trials": 0}
+
+
+def test_decompose_checks_each_tableau_once():
+    """merge∘split runs once per tableau of λ under its largest flag, and
+    the count identity once per (λ, φ)."""
+    tableaux, pairs = 0, 0
+    for lam in partitions_up_to(3):
+        flags = [phi.bounds for phi in compatible_flags(lam, -1, 2)]
+        top = Flag(tuple(max(b[r] for b in flags) for r in range(len(lam))))
+        assert top.bounds in flags  # compatible flags are closed under max
+        tableaux += len(list(enumerate_tableaux(
+            EnumSpec(SkewShape(lam), top, "any", (-2, 2)))))
+        pairs += len(flags)
+    report = verify_identities("decompose", **DECOMPOSE_SMALL)
+    assert report["ok"] and report["instances"] == pairs
+    assert report["checks"] == tableaux + pairs
+
+
+def test_decompose_flag_filter_is_exact(monkeypatch):
+    """One tableau given a wrong shape pair spoils the count identity of
+    exactly the flags whose bounds dominate its row maxima, and its
+    merge∘split failure names the least of them.  For λ = (1,1) and the
+    rows {0}, {2}, that flag is (1, 2), not the incompatible (0, 2)."""
+    lam = Partition((1, 1))
+    t0 = SetValuedTableau(SkewShape(lam), (((0,),), ((2,),)))
+    other = SetValuedTableau(SkewShape(lam), (((1,),), ((2,),)))
+    assert split(t0)[0].shape != split(other)[0].shape
+    real = verify.split
+    monkeypatch.setattr(verify, "split",
+                        lambda t: real(other if t == t0 else t))
+    maxima = tuple(row[-1][-1] for row in t0.rows)
+    dominating = [phi.bounds for phi in compatible_flags(lam, -1, 2)
+                  if all(m <= b for m, b in zip(maxima, phi.bounds))]
+    least = tuple(map(min, zip(*dominating)))
+    assert dominating == [(1, 2), (2, 2)] and least == (1, 2)
+
+    failures = verify_identities("decompose", **DECOMPOSE_SMALL)["failures"]
+    counts = [f.split(":")[0] for f in failures if "counts differ" in f]
+    assert counts == [f"lam={lam.parts} phi={b}" for b in dominating]
+    assert [f for f in failures if "counts differ" not in f] == [
+        f"lam={lam.parts} phi={least}: merge(split(T)) != T for "
+        f"{t0.to_text()!r}"]
+
+
 def test_suite_theorem_small():
     report = verify_identities("theorem", max_size=2, trials=2,
                                flag_range=(-1, 2))
@@ -183,6 +232,22 @@ def test_jobs_match_serial(monkeypatch):
                                  flag_range=(-1, 1), jobs=2)
     assert serial == parallel
     # a pool starts whenever the host has two CPUs to give it
+    assert started == ([{"max_workers": 2}] if (os.cpu_count() or 1) > 1
+                       else [])
+
+
+def test_decompose_jobs_match_serial(monkeypatch):
+    """The decompose suite's unit of parallel work is one λ and its flags."""
+    serial = verify_identities("decompose", max_size=3, trials=1)
+    started, pool = [], concurrent.futures.ProcessPoolExecutor
+
+    def counted_pool(**kwargs):
+        started.append(kwargs)
+        return pool(**kwargs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        counted_pool)
+    assert verify_identities("decompose", max_size=3, trials=1,
+                             jobs=2) == serial
     assert started == ([{"max_workers": 2}] if (os.cpu_count() or 1) > 1
                        else [])
 
