@@ -59,12 +59,6 @@ def pi_chain(lam: Partition, phi: Flag) -> tuple[Flag, tuple[Permutation, ...]]:
     return psi, tuple(seq)
 
 
-def chi_flags(lam: Partition, phi: Flag) -> list[Flag]:
-    """Interpolating flags: chi^(i) = (psi_1..psi_i, phi_{i+1}..phi_ell)."""
-    psi = pi_chain(lam, phi)[0]
-    return [Flag(psi.bounds[:i] + phi.bounds[i:]) for i in range(len(lam) + 1)]
-
-
 # multiplicities of factor multisets, each a sorted tuple of factor codes
 FACTOR_SUMS = Semiring({}, {(): 1}, add_terms, mul_terms)
 
@@ -177,7 +171,8 @@ def j_coefficient(lam: Partition, phi: Flag, rho: Partition) -> GrahamSum:
 
 
 def j_of_permutation(w: Permutation, rho: Partition) -> GrahamSum:
-    csf = code_shape_flag(w)  # raises ValueError unless w is vexillary
+    # ValueError unless w is vexillary with a compatible flag (not 142563)
+    csf = code_shape_flag(w)
     return j_coefficient(csf.shape, csf.flag, rho)
 
 
@@ -186,13 +181,12 @@ def j_of_permutation(w: Permutation, rho: Partition) -> GrahamSum:
 
 
 def j_plus_numeric(lam: Partition, phi_plus: Flag, nu: Partition,
-                   point: EvaluationPoint,
-                   window: tuple[int, int] | None = None) -> int:
+                   point: EvaluationPoint) -> int:
     """Sum over mu of beta^{|nu|-|mu|} G^{phi+}_{lam/mu}(x_+; y) at the point,
     with no structural shortcuts (vanishing terms must vanish numerically)."""
     p = point.prime
     return sum(pow(point.beta, nu.size - mu.size, p) * g_eval(
-        SkewShape(lam, mu), phi_plus, "positive", point, window)
+        SkewShape(lam, mu), phi_plus, "positive", point)
         for mu in disconnected_inners(nu)) % p
 
 

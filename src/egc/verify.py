@@ -21,14 +21,12 @@ from operator import le
 from .grothendieck import (ORBIT_PRIME, ascent_chain, field_sum, g_eval,
                            grothendieck_poly, gvex_checker)
 from .perms import Permutation
-from .pipeline import (chi_flags, j_coefficient, j_numeric, j_plus_numeric,
-                       pi_chain)
+from .pipeline import j_coefficient, j_numeric, j_plus_numeric, pi_chain
 from .ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, code_facts,
                    eval_graham, factor_type, is_prime, isobaric,
                    omega1_factor, prec, sample_point)
 from .shapes import (Flag, Partition, SkewShape, compatible_flags,
-                     diagonal_split, disconnected_inners, flag_split,
-                     skew_props, subpartitions)
+                     disconnected_inners, flag_split, q_of, subpartitions)
 from .tableaux import (COUNTS, EnumSpec, enumerate_tableaux, merge,
                        omega1_inverse, omega1_tableau, r_weight_eval, split,
                        tableau_sum, weight_eval)
@@ -123,7 +121,7 @@ def _decompose_group(cfg: RunConfig, group) -> tuple[int, list[str]]:
             k = maxima, (tm.shape.outer.parts, tp.shape.inner.parts)
             tally[k] = tally.get(k, 0) + 1
 
-    lo, hi = win = (min(cfg.window[0], 1 - lam.part(1)), cfg.window[1])
+    lo, hi = min(cfg.window[0], 1 - lam.part(1)), cfg.window[1]
     for phi in map(Flag, flags):
         key = f"lam={lam.parts} phi={phi.bounds}"
         phi_minus, phi_plus = flag_split(phi)
@@ -147,29 +145,24 @@ def _decompose_group(cfg: RunConfig, group) -> tuple[int, list[str]]:
                                 f"(left {sorted(left.items())}, "
                                 f"right {sorted(right.items())})")
 
-        # numeric decomposition at sampled points, with the skew factor
-        # read both under the full flag and under its nonnegative part.
+        # numeric decomposition at sampled points, at exact windows; the skew
+        # factor under phi_+ (a row with phi_r <= 0 is empty under phi too).
         rng = _stream(cfg.seed, f"decompose:{key}")
         for _ in range(cfg.trials):
             pt = sample_point(prime, rng, range(1, hi + 1), range(1, hi + 1))
-            lhs = g_eval(shape, phi, "any", pt, win)
-            # each nu's nonpositive factor serves both skew flags
-            outers = [(nu, outer) for nu in subpartitions(lam)
+            rhs = sum(outer * j_plus_numeric(lam, phi_plus, nu, pt)
+                      for nu in subpartitions(lam)
                       if (outer := g_eval(SkewShape(nu), phi_minus,
-                                          "nonpositive", pt, win))]
-            for skew_flag in (phi, phi_plus):
-                rhs = sum(outer * j_plus_numeric(lam, skew_flag, nu, pt, win)
-                          for nu, outer in outers) % prime
-                checks += 1
-                if lhs != rhs:
-                    failures.append(f"{key}: decomposition mismatch at {pt} "
-                                    f"(skew flag {skew_flag.bounds})")
+                                          "nonpositive", pt))) % prime
+            checks += 1
+            if g_eval(shape, phi, "any", pt) != rhs:
+                failures.append(f"{key}: decomposition mismatch at {pt}")
 
         # flag symmetry: swapping x_i, x_{i+1} leaves the sum unchanged
         # whenever no row's flag separates the two indices.
         for _ in range(cfg.trials):
             pt = sample_point(prime, rng, range(lo, hi + 1), range(1, hi + 1))
-            base = g_eval(shape, phi, "any", pt, win)
+            base = g_eval(shape, phi, "any", pt)
             for i in range(lo, hi):
                 if i in phi.bounds:
                     continue
@@ -177,7 +170,7 @@ def _decompose_group(cfg: RunConfig, group) -> tuple[int, list[str]]:
                 sw[i], sw[i + 1] = sw.get(i + 1, 0), sw.get(i, 0)
                 pt2 = EvaluationPoint.make(prime, pt.beta, sw, dict(pt.y))
                 checks += 1
-                if g_eval(shape, phi, "any", pt2, win) != base:
+                if g_eval(shape, phi, "any", pt2) != base:
                     failures.append(f"{key}: not symmetric in x_{i}, "
                                     f"x_{i + 1}")
     return checks, failures
@@ -200,14 +193,15 @@ def _pi_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
     lam, phi = Partition(inst[0]), Flag(inst[1])
     key = f"lam={lam.parts} phi={phi.bounds}"
     checks, failures = 0, []
-    pis = pi_chain(lam, phi)[1]
-    chis = chi_flags(lam, phi)
+    psi, pis = pi_chain(lam, phi)
+    # chi^(i) = (psi_1..psi_i, phi_{i+1}..phi_ell) runs from phi to psi
+    chis = [Flag(psi.bounds[:i] + phi.bounds[i:]) for i in range(len(pis))]
     nmax = max([1] + list(phi.bounds))
+    q, parts = q_of(lam), lam.parts
     rng = _stream(cfg.seed, f"pi:{key}")
-    for mu in subpartitions(lam):
-        if skew_props(lam.parts, mu.parts).has_diagonal_cell:
-            continue
-        _, lower = diagonal_split(SkewShape(lam, mu))
+    # each part that j_plus sums below the row cut at q, once
+    for beta in subpartitions(Partition(parts[q:])):
+        lower = SkewShape(lam, Partition(parts[:q] + beta.parts))
         if not lower.size:
             continue
         for _ in range(cfg.trials):
@@ -218,8 +212,8 @@ def _pi_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
                     for i in range(len(pis))]
             checks += 1
             if len(set(vals)) != 1:
-                failures.append(f"{key} mu={mu.parts}: interpolating chain "
-                                f"values differ: {vals}")
+                failures.append(f"{key} mu={lower.inner.parts}: "
+                                f"interpolating chain values differ: {vals}")
     return checks, failures
 
 
@@ -352,20 +346,14 @@ def suite_theorem(cfg: RunConfig) -> dict:
 # and the transfer DP against enumeration at the omega_1 points.
 
 
-def _omega_window(cfg: RunConfig) -> tuple[int, int]:
-    """The run window clipped to [-2, 2], where the omega suite enumerates."""
-    lo, hi = max(cfg.window[0], -2), min(cfg.window[1], 2)
-    if lo > hi:
-        raise ValueError(f"the omega suite needs a window meeting [-2, 2], "
-                         f"got {cfg.window[0]}:{cfg.window[1]}")
-    return lo, hi
+OMEGA_WINDOW = (-2, 2)  # the suite's own value range, as gvex keeps its sweep
 
 
 def _omega_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
     lam = Partition(inst)
     key = f"lam={lam.parts}"
     checks, failures = 0, []
-    window = _omega_window(cfg)
+    window = OMEGA_WINDOW
     rng = _stream(cfg.seed, f"omega:{key}")
     pts = [sample_point(cfg.prime, rng, range(window[0], window[1] + 1),
                         range(window[0] - len(lam), window[1] + lam.part(1)))
@@ -496,10 +484,18 @@ def suite_ring(cfg: RunConfig) -> dict:
 # Assembly
 
 
+def _guarded(name, fn, cfg, unit):
+    """fn(cfg, unit), with an exception reported as the unit's failure."""
+    try:
+        return fn(cfg, unit)
+    except Exception as exc:  # report, keep running the other units
+        return 0, [f"{name} {unit}: {type(exc).__name__}: {exc}"]
+
+
 def _collect(name, fn, instances, cfg):
     """Run fn(cfg, unit) on every unit of work, in a process pool when
     cfg.jobs, the CPU count and the unit count all exceed one."""
-    run = partial(fn, cfg)
+    run = partial(_guarded, name, fn, cfg)
     workers = min(cfg.jobs, os.cpu_count() or 1, len(instances))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # on first use
@@ -530,8 +526,6 @@ def verify_identities(suite: str, **options) -> dict:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {SUITES + ('all',)}")
     cfg = RunConfig(**options)
-    if suite in ("omega", "all"):
-        _omega_window(cfg)
     # looked up at call time, so a wrapper put on suite_<name> sees the run
     if suite == "all":
         reports = [globals()[f"suite_{s}"](cfg) for s in SUITES]

@@ -16,7 +16,7 @@ from egc.grothendieck import (ORBIT_PRIME, OrbitTable, backstable_approx,
 from egc.perms import Permutation, code_shape_flag
 from egc.ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, ominus,
                       sample_point)
-from egc.shapes import Flag, Partition, SkewShape, subpartitions
+from egc.shapes import Flag, Partition, SkewShape, flag_split, subpartitions
 from egc.tableaux import EnumSpec
 from egc.verify import all_vexillary, partitions_up_to
 
@@ -312,6 +312,10 @@ SMALL_SKEW = [SkewShape(lam, mu) for lam in partitions_up_to(6)
 @example(shape=SkewShape(Partition((3, 3, 1)), Partition((2, 1))),
          bounds=[1, 2, 3, 3, 3, 3], flagged=True, sign="positive",
          ends=(-1, 3), seed=4)
+# a negative bound on an empty row, which phi_+ raises to 0
+@example(shape=SkewShape(Partition((3, 3, 1)), Partition((3, 1))),
+         bounds=[-1, 2, 3, 3, 3, 3], flagged=True, sign="positive",
+         ends=(-1, 3), seed=5)
 def test_dp_matches_enumeration_property(shape, bounds, flagged, sign, ends,
                                          seed):
     flag = Flag(tuple(sorted(bounds))[:len(shape.outer)]) if flagged else None
@@ -324,3 +328,8 @@ def test_dp_matches_enumeration_property(shape, bounds, flagged, sign, ends,
                       range(window[0] + d_max, window[1] + d_max + 1))
     spec = EnumSpec(shape, flag, sign, window)
     assert field_sum(spec, pt) == enum_sum(spec, pt)
+    if sign == "positive" and flag is not None:
+        # a row with phi_r <= 0 admits no positive value under phi or under
+        # phi_+, so both read one sum: the decompose suite reads phi_+
+        plus = EnumSpec(shape, flag_split(flag)[1], sign, window)
+        assert field_sum(plus, pt) == field_sum(spec, pt)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from egc import pipeline
 from egc.perms import Permutation
-from egc.pipeline import (build_context, chi_flags, half_sum, j_coefficient,
-                          j_minus, j_numeric, j_of_permutation, j_plus,
-                          pi_chain, unique_nu)
+from egc.pipeline import (build_context, half_sum, j_coefficient, j_minus,
+                          j_numeric, j_of_permutation, j_plus, pi_chain,
+                          unique_nu)
 from egc.ring import (DEFAULT_PRIME, GrahamMonomial, GrahamSum, add_terms,
                       eval_graham, factor_code, mul_terms, sample_point)
 from egc.shapes import (Flag, Partition, SkewShape, compatible_flags,
@@ -77,14 +77,6 @@ def test_pi_algorithm_small():
     assert seq[2].one_line(1, 3) == (2, 1, 3)
     trivial = pi_chain(Partition((2, 1)), Flag((0, 0)))[1]
     assert all(p == Permutation.identity() for p in trivial)
-
-
-def test_chi_flags():
-    lam, phi = Partition((1, 1)), Flag((1, 2))
-    chis = chi_flags(lam, phi)
-    assert chis[0] == phi
-    assert chis[1] == Flag((0, 2))
-    assert chis[2] == Flag((0, 1))
 
 
 def test_j_plus_fixtures():

@@ -9,7 +9,8 @@ import pytest
 from egc import grothendieck, ring, verify
 from egc.grothendieck import ORBIT_PRIME
 from egc.ring import DEFAULT_PRIME, EvaluationPoint, GrahamSum, factor_code
-from egc.shapes import Flag, Partition, SkewShape, compatible_flags
+from egc.shapes import (Flag, Partition, SkewShape, compatible_flags,
+                        diagonal_split, subpartitions)
 from egc.tableaux import (EnumSpec, SetValuedTableau, enumerate_tableaux,
                           split)
 from egc.verify import (GVEX_N, GVEX_P0, SUITES, RunConfig, all_vexillary,
@@ -65,11 +66,9 @@ def test_theorem_structure_checks_report_each_fault(monkeypatch):
 
 
 @pytest.mark.parametrize("options,suites", [
-    *[pytest.param({k: v}, SUITES + ("all",), id=k) for k, v in [
+    pytest.param({k: v}, SUITES + ("all",), id=k) for k, v in [
         ("max_size", 0), ("flag_range", (3, -2)), ("window", (3, -3)),
-        ("trials", -1), ("prime", 91)]],
-    # the omega suite enumerates inside [-2, 2] only
-    pytest.param({"window": (3, 3)}, ("omega", "all"), id="omega_window")])
+        ("trials", -1), ("prime", 91)]])
 def test_invalid_options_rejected_before_any_instance(monkeypatch, options,
                                                        suites):
     def no_run(cfg):
@@ -150,6 +149,25 @@ def test_suite_omega_small():
 
 def test_suite_pi_small():
     assert verify_identities("pi", max_size=2, trials=2)["ok"]
+
+
+def test_pi_checks_each_lower_part_once():
+    """The chain is checked trials times on each distinct nonempty part
+    below the diagonal of a diagonal-free λ/μ, per (λ, φ)."""
+    instances = [(lam, phi) for lam in partitions_up_to(3)
+                 for phi in compatible_flags(lam, 0, 2)]
+    instances.append((Partition((4, 4, 4, 4, 4, 2, 1)),
+                      Flag((3, 4, 4, 5, 6, 6, 8))))
+    parts = 0
+    for lam, _ in instances:
+        lowers = {frozenset(diagonal_split(SkewShape(lam, mu))[1].cells())
+                  for mu in subpartitions(lam)
+                  if not SkewShape(lam, mu).props.has_diagonal_cell}
+        parts += len(lowers - {frozenset()})
+    report = verify_identities("pi", max_size=3, flag_range=(-1, 2),
+                               trials=2)
+    assert report["ok"] and report["instances"] == len(instances)
+    assert report["checks"] == 2 * parts
 
 
 def test_suite_decompose_small():
@@ -263,6 +281,31 @@ def test_jobs_bounded(monkeypatch):
     report = verify_identities("decompose", max_size=1, flag_range=(1, 1),
                                trials=1, jobs=2)
     assert report["instances"] == 1 and report["ok"]
+
+
+def test_unit_exception_becomes_failure(monkeypatch):
+    """An exception in one unit of work is that unit's failure: the other
+    units still run, serially and in a pool alike."""
+    options = {"max_size": 3, "trials": 1, "flag_range": (-1, 1)}
+    clean = verify_identities("theorem", **options)
+    broken = [inst for inst in verify._pairs(3, -1, 1) if inst[0] == (2, 1)]
+    lost = sum(verify._theorem_instance(RunConfig(**options), inst)[0]
+               for inst in broken)
+    real = verify.j_coefficient
+
+    def raising(lam, phi, rho):
+        if lam.parts == (2, 1):
+            raise RuntimeError("no coefficient")
+        return real(lam, phi, rho)
+
+    monkeypatch.setattr(verify, "j_coefficient", raising)
+    for jobs in (1, 2):
+        report = verify_identities("theorem", **options, jobs=jobs)
+        assert report["instances"] == clean["instances"] and not report["ok"]
+        assert report["failures"] == [
+            f"theorem {inst}: RuntimeError: no coefficient"
+            for inst in broken]
+        assert report["checks"] == clean["checks"] - lost > 0
 
 
 def test_unknown_suite_rejected():
