@@ -12,7 +12,7 @@ tree, and prints every command whose stdout or exit code differs:
 - `egc j --format json` on the two inputs of
   `tests/test_pipeline.INCOMPATIBLE_XI` that are not ladder rungs, where
   the raw conjugate flag is incompatible with nu' and `xi_flag` falls back
-  to the caps;
+  to the normal form;
 - `egc verify --suite all --max-size 3 --seed 0 --format json`;
 - `egc verify --suite decompose --trials 0 --max-size 4 --flag-range -2:3
   --window -2:3 --format json`, the exhaustive split/merge bijection on

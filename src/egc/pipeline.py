@@ -27,7 +27,7 @@ from .grothendieck import g_eval
 from .perms import Permutation, code_shape_flag
 from .ring import (EvaluationPoint, GrahamSum, add_terms, factor_code,
                    mul_terms, omega1_code)
-from .shapes import (Flag, Partition, SkewShape, delta_seq,
+from .shapes import (Flag, Partition, SkewShape, compatible_form, delta_seq,
                      disconnected_inners, flag_split, is_compatible, q_of,
                      skew_props, xi_flag)
 from .tableaux import EnumSpec, Semiring, tableau_sum
@@ -171,9 +171,10 @@ def j_coefficient(lam: Partition, phi: Flag, rho: Partition) -> GrahamSum:
 
 
 def j_of_permutation(w: Permutation, rho: Partition) -> GrahamSum:
-    # ValueError unless w is vexillary with a compatible flag (not 142563)
+    # ValueError unless w is vexillary; an incompatible code flag, such as
+    # 142563's (2,5,5) on (2,1,1), gives way to its normal form (2,4,5)
     csf = code_shape_flag(w)
-    return j_coefficient(csf.shape, csf.flag, rho)
+    return j_coefficient(csf.shape, compatible_form(csf.shape, csf.flag), rho)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import NamedTuple
 
 
@@ -256,10 +256,8 @@ def xi_flag(nu: Partition, phi_minus: Flag) -> Flag:
     """Nonnegative flag compatible with nu', given a nonpositive flag for nu.
 
     The raw flag xi_i = -phi_minus[nu'_i] is returned when it is compatible
-    with nu'.  Otherwise row r gets the cap of its last cell, clamped at 0
-    and raised to the running maximum of the rows above; the result bounds
-    the same positive tableaux as the raw flag (equal caps once both are
-    clamped at 0)."""
+    with nu'.  Otherwise its normal form (normal_flag) is, clamped at 0:
+    it bounds the same positive tableaux as the raw flag."""
     if any(b > 0 for b in phi_minus):
         raise ValueError(f"flag {phi_minus} has a positive entry")
     if len(phi_minus) < len(nu):
@@ -267,40 +265,35 @@ def xi_flag(nu: Partition, phi_minus: Flag) -> Flag:
     nuc = nu.conjugate()
     raw = Flag(tuple(-phi_minus.entry(nuc.part(i))
                      for i in range(1, len(nuc) + 1)))
-    if is_compatible(nuc, raw):
-        return raw
-    caps = flag_caps(nuc, raw)
-    bounds, top = [], 0
-    for r in range(1, len(nuc) + 1):
-        top = max(top, caps[(r, nuc.part(r))])
-        bounds.append(top)
-    xi = Flag(tuple(bounds))
+    xi = Flag(tuple(max(b, 0) for b in compatible_form(nuc, raw)))
     if not is_compatible(nuc, xi):
         raise RuntimeError(f"no compatible flag for {nuc} with the caps of "
                            f"{raw}")
     return xi
 
 
-def flag_caps(lam: Partition, phi: Flag) -> dict[tuple[int, int], int]:
-    """Per-cell effective upper bound on entries implied by a flag.
-
-    cap(r,c) = min(phi_r, cap(r+1,c) - 1) when the cell below is present;
-    two flags bound the same tableau set iff their caps agree.
-    """
+def normal_flag(lam: Partition, phi: Flag) -> Flag:
+    """The one representative of phi's class on lam, the flags that bound
+    the same tableaux: row r gets the cap of its last cell, raised to the
+    running maximum of the rows above.  Read bottom up, that cap is phi_r,
+    or min(phi_r, cap_{r+1} - 1) when lam_{r+1} = lam_r."""
     if len(phi) < len(lam):
         raise ValueError(f"flag {phi} shorter than partition {lam}")
-    caps: dict[tuple[int, int], int] = {}
+    caps = []
     for r in range(len(lam), 0, -1):
-        for c in range(1, lam.part(r) + 1):
-            cap = phi.entry(r)
-            if (r + 1, c) in caps:
-                cap = min(cap, caps[(r + 1, c)] - 1)
-            caps[(r, c)] = cap
-    return caps
+        same = lam.part(r + 1) == lam.part(r)
+        caps.append(min(phi.entry(r), caps[-1] - 1) if same else phi.entry(r))
+    return Flag(tuple(accumulate(reversed(caps), max)))
+
+
+def compatible_form(lam: Partition, phi: Flag) -> Flag:
+    """phi if compatible with lam, else its normal form (compatible when
+    any flag of the class is)."""
+    return phi if is_compatible(lam, phi) else normal_flag(lam, phi)
 
 
 def flags_equivalent(lam: Partition, phi1: Flag, phi2: Flag) -> bool:
-    return flag_caps(lam, phi1) == flag_caps(lam, phi2)
+    return normal_flag(lam, phi1) == normal_flag(lam, phi2)
 
 
 def compatible_flags(lam: Partition, lo: int, hi: int):

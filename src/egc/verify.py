@@ -403,7 +403,7 @@ def _random_poly(rng, n, prime, terms=6, degree=3):
     return f
 
 
-def suite_ring(cfg: RunConfig) -> dict:
+def _ring_checks(cfg: RunConfig, unit) -> tuple[int, list[str]]:
     prime = cfg.prime
     checks, failures = 0, []
     rng = _stream(cfg.seed, "ring")
@@ -477,6 +477,11 @@ def suite_ring(cfg: RunConfig) -> dict:
         checks += 1
         if len(polys) != 1:
             failures.append(f"word dependence for w = {images}")
+    return checks, failures
+
+
+def suite_ring(cfg: RunConfig) -> dict:
+    checks, failures = _guarded("ring", _ring_checks, cfg, f"seed={cfg.seed}")
     return _report("ring", 100 + 441 + 100 + 24, checks, failures)
 
 

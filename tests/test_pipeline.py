@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egc import pipeline
-from egc.perms import Permutation
+from egc.grothendieck import g_eval
+from egc.perms import Permutation, code_shape_flag
 from egc.pipeline import (build_context, half_sum, j_coefficient, j_minus,
                           j_numeric, j_of_permutation, j_plus, pi_chain,
                           unique_nu)
 from egc.ring import (DEFAULT_PRIME, GrahamMonomial, GrahamSum, add_terms,
                       eval_graham, factor_code, mul_terms, sample_point)
 from egc.shapes import (Flag, Partition, SkewShape, compatible_flags,
-                        diagonal_split, disconnected_inners, q_of,
-                        subpartitions)
+                        diagonal_split, disconnected_inners, is_compatible,
+                        normal_flag, q_of, subpartitions)
 from egc.tableaux import EnumSpec, enumerate_tableaux
-from egc.verify import partitions_up_to, verify_identities
+from egc.verify import all_vexillary, partitions_up_to, verify_identities
 
 P = DEFAULT_PRIME
 
@@ -287,9 +288,34 @@ def test_pi_chain_result_is_immutable():
 def test_j_of_permutation():
     assert j_of_permutation(Permutation.s(0), Partition((1,))) == \
         GrahamSum.one()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # not vexillary
         j_of_permutation(Permutation.from_word((1, 2, -1, 0)),
                          Partition((1,)))
+    # the code flag (2,5,5) of 142563 is incompatible with its shape
+    # (2,1,1); its normal form (2,4,5) is compatible
+    assert j_of_permutation(Permutation.from_one_line((1, 4, 2, 5, 6, 3), 1),
+                            Partition((1,))) == \
+        j_coefficient(Partition((2, 1, 1)), Flag((2, 4, 5)), Partition((1,)))
+
+
+def test_j_of_permutation_on_the_gvex_sweep():
+    # every vexillary w with support in [-2, 3] gets a coefficient; where
+    # its code flag is incompatible, the normal form that replaces it
+    # bounds the same tableaux, so the flagged function is unchanged
+    rng, incompatible = random.Random("j_of_permutation"), 0
+    for w in all_vexillary(-2, 3):
+        csf = code_shape_flag(w)
+        lam, raw = csf.shape, csf.flag
+        for rho in (Partition(()), Partition(lam.parts[:1])):
+            j_of_permutation(w, rho)
+        if is_compatible(lam, raw):
+            continue
+        incompatible += 1
+        norm = normal_flag(lam, raw)
+        pt = sample_point(P, rng, range(-8, 9), range(-8, 9))
+        assert g_eval(SkewShape(lam), raw, "any", pt) == \
+            g_eval(SkewShape(lam), norm, "any", pt)
+    assert incompatible == 28
 
 
 def test_build_context_cases():
@@ -324,7 +350,6 @@ def test_cross_representation():
 def test_structure_all_positive_types():
     # the self-coefficient of 345162: unit multiplicities, Type 3 only
     w = Permutation.from_one_line((3, 4, 5, 1, 6, 2), 1)
-    from egc.perms import code_shape_flag
     csf = code_shape_flag(w)
     j = j_coefficient(csf.shape, csf.flag, csf.shape)
     assert not j.is_zero() and j.beta_exp == 0

@@ -3,10 +3,35 @@
 import pytest
 
 from egc.shapes import (DeltaSeq, Flag, Partition, SkewShape,
-                        compatible_flags, delta_seq, diagonal_split,
-                        flag_caps, flag_split, flags_equivalent, is_compatible,
-                        psi_flag, skew_props, subpartitions, xi_flag)
+                        compatible_flags, compatible_form, delta_seq,
+                        diagonal_split, flag_split, flags_equivalent,
+                        is_compatible, normal_flag, psi_flag, skew_props,
+                        subpartitions, xi_flag)
 from egc.verify import partitions_up_to
+
+
+def flag_caps(lam: Partition, phi: Flag) -> dict[tuple[int, int], int]:
+    """Oracle: the largest value each cell of lam can hold under phi,
+    cap(r,c) = min(phi_r, cap(r+1,c) - 1) when the cell below is present.
+    Two flags bound the same tableaux iff their caps agree."""
+    caps: dict[tuple[int, int], int] = {}
+    for r in range(len(lam), 0, -1):
+        for c in range(1, lam.part(r) + 1):
+            cap = phi.entry(r)
+            if (r + 1, c) in caps:
+                cap = min(cap, caps[(r + 1, c)] - 1)
+            caps[(r, c)] = cap
+    return caps
+
+
+def weak_flags(ell: int, lo: int, hi: int):
+    """Every weakly increasing flag of length ell with entries in [lo, hi]."""
+    if ell == 0:
+        yield Flag()
+        return
+    for head in weak_flags(ell - 1, lo, hi):
+        for b in range(head.bounds[-1] if head.bounds else lo, hi + 1):
+            yield Flag(head.bounds + (b,))
 
 
 def test_partition_basics():
@@ -218,6 +243,40 @@ def test_flag_equivalence():
     assert not flags_equivalent(lam, Flag((3, 3, 3, 5)), Flag((1, 2, 3, 4)))
     caps = flag_caps(Partition((1, 1)), Flag((1, 2)))
     assert caps[(1, 1)] == 1 and caps[(2, 1)] == 2
+    # the code flag of 142563 on its shape, and a flag with no compatible
+    # representative
+    assert normal_flag(Partition((2, 1, 1)), Flag((2, 5, 5))).bounds == \
+        (2, 4, 5)
+    assert compatible_form(Partition((3, 1)), Flag((1, 9))).bounds == (1, 9)
+    assert normal_flag(lam, Flag((3, 3, 3, 5))).bounds == (1, 2, 3, 5)
+    assert compatible_form(lam, Flag((3, 3, 3, 5))).bounds == (3, 3, 3, 5)
+
+
+def test_normal_flag_against_the_caps():
+    # every nonempty lam of size <= 5 and every weakly increasing flag on
+    # [-3, 5]; the normal form decides equivalence the way the caps do
+    pairs = 0
+    for lam in partitions_up_to(5):
+        classes = {}
+        for phi in weak_flags(len(lam), -3, 5):
+            norm = normal_flag(lam, phi)
+            assert flag_caps(lam, norm) == flag_caps(lam, phi)
+            assert normal_flag(lam, norm) == norm
+            classes.setdefault(norm, []).append(phi)
+            pairs += 1
+        # distinct normal forms have distinct caps
+        assert len({tuple(flag_caps(lam, n).values()) for n in classes}) == \
+            len(classes)
+        # each class against itself and against the next one
+        reps = list(classes.items())
+        for (norm, same), (_, other) in zip(reps, reps[1:] + reps[:1]):
+            assert all(flags_equivalent(lam, same[0], phi) for phi in same)
+            assert other is same or \
+                not any(flags_equivalent(lam, other[0], phi) for phi in same)
+            # the normal form is compatible when any of its class is
+            assert is_compatible(lam, norm) or \
+                not any(is_compatible(lam, phi) for phi in same)
+    assert pairs == 3252
 
 
 def test_compatible_flags_respect_bounds():

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from egc import grothendieck, ring, verify
+from egc.cli import main
 from egc.grothendieck import ORBIT_PRIME
 from egc.ring import DEFAULT_PRIME, EvaluationPoint, GrahamSum, factor_code
 from egc.shapes import (Flag, Partition, SkewShape, compatible_flags,
@@ -306,6 +307,24 @@ def test_unit_exception_becomes_failure(monkeypatch):
             f"theorem {inst}: RuntimeError: no coefficient"
             for inst in broken]
         assert report["checks"] == clean["checks"] - lost > 0
+
+
+def test_ring_exception_becomes_failure(monkeypatch, capsys):
+    """The ring suite is one unit of work: an exception in it is its
+    failure, and a run of every suite still reports the other five."""
+    def raising(f, i, beta):
+        raise RuntimeError("no operator")
+
+    monkeypatch.setattr(verify, "isobaric", raising)
+    assert verify_identities("ring", seed=3) == {
+        "suite": "ring", "instances": 665, "checks": 0,
+        "failures": ["ring seed=3: RuntimeError: no operator"], "ok": False}
+    report = verify_identities("all", max_size=2, trials=1)
+    assert [r["suite"] for r in report["suites"]] == list(SUITES)
+    assert [r["suite"] for r in report["suites"] if not r["ok"]] == ["ring"]
+    assert not report["ok"]
+    assert main(["verify", "--suite", "ring"]) == 1
+    assert "ring: FAIL (665 instances, 0 checks)" in capsys.readouterr().out
 
 
 def test_unknown_suite_rejected():
