@@ -15,7 +15,7 @@ from dataclasses import fields
 
 from .perms import Permutation, code_of, code_shape_flag
 from .pipeline import build_context, j_coefficient
-from .shapes import Flag, Partition, SkewShape
+from .shapes import Flag, Partition, SkewShape, compatible_form
 from .tableaux import EnumSpec, enumerate_tableaux
 from .verify import SUITES, RunConfig, verify_identities
 
@@ -36,8 +36,10 @@ def parse_range(text: str) -> tuple[int, int]:
 
 def cmd_j(args) -> int:
     lam = Partition(parse_ints(args.lam))
-    phi = Flag(parse_ints(args.phi))
+    given = Flag(parse_ints(args.phi))
     rho = Partition(parse_ints(args.rho))
+    if (phi := compatible_form(lam, given)) != given:
+        print(f"flag {given} normalized to {phi}", file=sys.stderr)
     ctx = build_context(lam, phi, rho)  # validates the flag
     result = j_coefficient(lam, phi, rho)
     norm = lam.size - rho.size

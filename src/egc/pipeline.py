@@ -157,14 +157,26 @@ def unique_nu(lam: Partition, phi: Flag, rho: Partition) -> Partition | None:
     return ctx.nu
 
 
-def j_coefficient(lam: Partition, phi: Flag, rho: Partition) -> GrahamSum:
+def _memo(halves: dict | None, key, compute):
+    """compute(), kept under key in halves, the memo the caller owns."""
+    if halves is None:
+        return compute()
+    if key not in halves:
+        halves[key] = compute()
+    return halves[key]
+
+
+def j_coefficient(lam: Partition, phi: Flag, rho: Partition,
+                  halves: dict | None = None) -> GrahamSum:
     """The normalized Graham-positive coefficient: every monomial's total
     beta exponent equals its factor count after multiplying by
-    beta^{|lam| - |rho|}, so the returned sum has beta_exp 0."""
+    beta^{|lam| - |rho|}, so the returned sum has beta_exp 0.  The halves
+    memo keeps j_minus under ("-", ctx.lower), j_plus under ("+", ctx.upper)."""
     ctx = build_context(lam, phi, rho)
     if ctx.nu is None:
         return GrahamSum.zero()
-    raw = j_minus(*ctx.lower) * j_plus(*ctx.upper)
+    raw = _memo(halves, ("-", ctx.lower), lambda: j_minus(*ctx.lower)) \
+        * _memo(halves, ("+", ctx.upper), lambda: j_plus(*ctx.upper))
     if raw.beta_exp + lam.size - rho.size != 0:
         raise RuntimeError("the beta exponent differs from the factor count")
     return GrahamSum(raw.terms)
@@ -192,12 +204,15 @@ def j_plus_numeric(lam: Partition, phi_plus: Flag, nu: Partition,
 
 
 def j_numeric(lam: Partition, phi: Flag, rho: Partition,
-              point: EvaluationPoint) -> int:
+              point: EvaluationPoint, halves: dict | None = None) -> int:
     """Raw (unnormalized) coefficient through the unique middle partition,
-    with both halves evaluated as tableau sums over F_p at x := y."""
+    both halves as tableau sums over F_p at x := y, memoized per point."""
     ctx = build_context(lam, phi, rho)
     if ctx.nu is None:
         return 0
-    pt = point.with_x_to_y()
-    return j_plus_numeric(*ctx.lower, pt.omega1()) \
-        * j_plus_numeric(*ctx.upper, pt) % point.prime
+    upper_pt = _memo(halves, point, point.with_x_to_y)
+    lower_pt = _memo(halves, ("omega1", point), upper_pt.omega1)
+    return _memo(halves, ("-", ctx.lower, point),
+                 lambda: j_plus_numeric(*ctx.lower, lower_pt)) \
+        * _memo(halves, ("+", ctx.upper, point),
+                lambda: j_plus_numeric(*ctx.upper, upper_pt)) % point.prime

@@ -9,7 +9,9 @@ import pytest
 
 from egc import cli, perms
 from egc.cli import main, parse_ints, parse_range
-from egc.perms import code_of
+from egc.perms import Permutation, code_of
+from egc.pipeline import j_of_permutation
+from egc.shapes import Partition
 from egc.verify import verify_identities
 
 
@@ -74,7 +76,24 @@ def test_j_json_canonical_order(capsys):
 def test_j_incompatible_flag(capsys):
     code, _, err = run(capsys, "j", "--lambda", "1,1", "--phi", "1,5",
                        "--rho", "1")
-    assert code == 1 and "compatible" in err
+    assert code == 1 and "compatible" in err and "normalized" not in err
+
+
+def test_j_normalizes_a_flag_with_a_compatible_normal_form(capsys):
+    """142563's code flag (2,5,5) is incompatible with (2,1,1); egc j
+    computes under its normal form (2,4,5), as j_of_permutation does, and
+    shows the flag it used."""
+    argv = ["j", "--lambda", "2,1,1", "--phi", "2,5,5", "--rho", "1"]
+    expected = j_of_permutation(
+        Permutation.from_one_line((1, 4, 2, 5, 6, 3), 1), Partition((1,)))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "flag (2,5,5) normalized to (2,4,5)\n"
+    assert out.splitlines() == [
+        "beta^3 * j[lambda=(2, 1, 1) phi=(2, 4, 5) rho=(1,)] ="] \
+        + ["  " + line for line in expected.text_lines()]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and "normalized" in err
+    assert json.loads(out)["phi"] == [2, 4, 5]
 
 
 def test_j_json_roundtrip_matches_text(capsys):

@@ -347,6 +347,24 @@ def test_cross_representation():
             assert lhs == rhs
 
 
+def test_shared_memo_matches_fresh_calls():
+    """One memo per route, shared by every (λ, φ, ρ) with |λ| <= 3 and
+    flags in [-2, 2] and, numerically, by two points, gives each call's
+    memo-less value: each half is kept under all that it reads."""
+    rng = random.Random(5)
+    points = [sample_point(P, rng, (), range(-6, 7)) for _ in range(2)]
+    symbolic, numeric = {}, {}
+    for lam in partitions_up_to(3):
+        for phi in compatible_flags(lam, -2, 2):
+            for rho in subpartitions(lam):
+                assert j_coefficient(lam, phi, rho, symbolic).terms == \
+                    j_coefficient(lam, phi, rho).terms
+                for pt in points:
+                    assert j_numeric(lam, phi, rho, pt, numeric) == \
+                        j_numeric(lam, phi, rho, pt)
+    assert symbolic and numeric
+
+
 def test_structure_all_positive_types():
     # the self-coefficient of 345162: unit multiplicities, Type 3 only
     w = Permutation.from_one_line((3, 4, 5, 1, 6, 2), 1)

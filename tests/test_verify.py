@@ -3,12 +3,14 @@ deterministic, and parallel runs match serial ones."""
 
 import concurrent.futures
 import os
+from collections import Counter
 
 import pytest
 
-from egc import grothendieck, ring, verify
+from egc import grothendieck, pipeline, ring, verify
 from egc.cli import main
 from egc.grothendieck import ORBIT_PRIME
+from egc.pipeline import build_context
 from egc.ring import DEFAULT_PRIME, EvaluationPoint, GrahamSum, factor_code
 from egc.shapes import (Flag, Partition, SkewShape, compatible_flags,
                         diagonal_split, subpartitions)
@@ -52,7 +54,7 @@ def test_theorem_structure_checks_report_each_fault(monkeypatch):
     terms = {(f12, f12): 1, (f12, factor_code((-1, 0))): 1,
              (unordered,): 1, (f20, f20, f20): 1}
     monkeypatch.setattr(verify, "j_coefficient",
-                        lambda lam, phi, rho: GrahamSum(terms))
+                        lambda lam, phi, rho, halves=None: GrahamSum(terms))
     checks, failures = verify._theorem_instance(RunConfig(trials=0),
                                                 ((1,), (1,)))
     faults = ["factor (1, 2) of type 1 appears 2 times",
@@ -229,6 +231,55 @@ def test_suite_theorem_small():
     assert report["ok"]
 
 
+def test_theorem_computes_each_half_once(monkeypatch):
+    """Within one λ's unit of work, j_plus runs once per distinct input of
+    each role: the upper half, and the lower one that j_minus conjugates.
+    Within one (λ, φ), j_plus_numeric runs once per distinct (half,
+    point)."""
+    options = {"max_size": 3, "trials": 2, "flag_range": (-2, 2)}
+    plus_calls, numeric_calls, unit = [], [], []
+    real_group, real_instance = verify._theorem_group, verify._theorem_instance
+    real_plus, real_numeric = pipeline.j_plus, pipeline.j_plus_numeric
+
+    def group(cfg, g):
+        unit[:] = [g[0]]
+        return real_group(cfg, g)
+
+    def instance(cfg, inst, **kwargs):
+        unit[1:] = [inst[1]]
+        return real_instance(cfg, inst, **kwargs)
+
+    def plus(*args):
+        plus_calls.append((unit[0], args))
+        return real_plus(*args)
+
+    def numeric(*args):
+        numeric_calls.append((tuple(unit), args))
+        return real_numeric(*args)
+
+    monkeypatch.setattr(verify, "_theorem_group", group)
+    monkeypatch.setattr(verify, "_theorem_instance", instance)
+    monkeypatch.setattr(pipeline, "j_plus", plus)
+    monkeypatch.setattr(pipeline, "j_plus_numeric", numeric)
+    report = verify_identities("theorem", **options)
+    assert report["ok"]
+
+    halves, numeric_halves = set(), set()
+    for lam, bounds in verify._pairs(3, -2, 2):
+        for rho in subpartitions(Partition(lam)):
+            ctx = build_context(Partition(lam), Flag(bounds), rho)
+            if ctx.nu is None:
+                continue
+            for role, half in (("+", ctx.upper), ("-", ctx.lower)):
+                halves.add((lam, role, half))
+                numeric_halves.update(((lam, bounds), role, half, k)
+                                      for k in range(2))
+    assert Counter(plus_calls) == Counter((lam, half)
+                                          for lam, _, half in halves)
+    assert len(set(numeric_calls)) == len(numeric_calls) \
+        == len(numeric_halves)
+
+
 def test_reports_deterministic():
     a = verify_identities("theorem", max_size=2, trials=2, seed=5,
                           flag_range=(-1, 1))
@@ -294,7 +345,7 @@ def test_unit_exception_becomes_failure(monkeypatch):
                for inst in broken)
     real = verify.j_coefficient
 
-    def raising(lam, phi, rho):
+    def raising(lam, phi, rho, halves=None):
         if lam.parts == (2, 1):
             raise RuntimeError("no coefficient")
         return real(lam, phi, rho)
