@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields
 
 from .perms import Permutation, code_of, code_shape_flag
-from .pipeline import build_context, j_coefficient
+from .pipeline import build_context, j_coefficient, j_minus, j_plus
 from .shapes import Flag, Partition, SkewShape, compatible_form
 from .tableaux import EnumSpec, enumerate_tableaux
 from .verify import SUITES, RunConfig, verify_identities
@@ -34,6 +34,11 @@ def parse_range(text: str) -> tuple[int, int]:
     return (int(match[1]), int(match[2]))
 
 
+# bound at import, so a wrapper later put on j_plus or j_minus (the
+# benchmark's tracer) still reaches the caches
+_CLEAR_HALF_CACHES = (j_plus.cache_clear, j_minus.cache_clear)
+
+
 def cmd_j(args) -> int:
     lam = Partition(parse_ints(args.lam))
     given = Flag(parse_ints(args.phi))
@@ -42,6 +47,10 @@ def cmd_j(args) -> int:
         print(f"flag {given} normalized to {phi}", file=sys.stderr)
     ctx = build_context(lam, phi, rho)  # validates the flag
     result = j_coefficient(lam, phi, rho)
+    # one coefficient per command: a process that runs many commands keeps
+    # no earlier one's half sums, which reach megabytes on large ones
+    for clear in _CLEAR_HALF_CACHES:
+        clear()
     norm = lam.size - rho.size
     if args.format == "json":
         result.to_json(norm, {

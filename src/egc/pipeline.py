@@ -14,8 +14,8 @@ The symbolic route never rebuilds a monomial.  The DP emits each factor
 canonical factor order), a monomial is the sorted tuple of its codes, and a
 half sum carries one beta exponent, -|shape| per tableau plus |nu| - |mu|
 per inner shape: |nu| - |lambda| for every monomial of j_plus.  The product
-of the halves adds their exponents, and j_coefficient checks once per sum
-that the total is -(|lambda| - |rho|), the normalization.
+of the half sums adds their exponents, and j_coefficient checks once per
+sum that the total is -(|lambda| - |rho|), the normalization.
 """
 
 from __future__ import annotations
@@ -73,6 +73,12 @@ def half_sum(shape: SkewShape, flag: Flag, factor) -> dict:
                        lambda m, d: {(): 1, (factor(m, d),): 1})
 
 
+# sums each half's cache keeps: the deep theorem sweep's traffic, traded
+# against its peak RSS (README, egc.pipeline)
+HALF_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=HALF_CACHE_SIZE)
 def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
     """Sum over mu <= nu, nu/mu disconnected, of the tableau sums of lambda/mu,
     as one product of part sums cut below row q = q_of(lam): rows 1..q give
@@ -80,7 +86,8 @@ def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
     each part picks from disconnected_inners of its rows of nu.  Exact: mu_q
     < q puts the cell (q, q) in lambda/mu, a zero summand, and mu_q >= q >=
     lambda_{q+1} >= nu_{q+1} keeps mu a partition with no cell dropped below
-    one of row q.  A row where phi_+ is 0 (psi_r <= 0 too) admits no value."""
+    one of row q.  A row where phi_+ is 0 (psi_r <= 0 too) admits no value.
+    Cached: every caller of one triple shares the returned sum."""
     if not lam.contains(nu):
         raise ValueError(f"nu {nu} not contained in lambda {lam}")
     psi, pis = pi_chain(lam, phi_plus)  # validates the flag
@@ -98,9 +105,11 @@ def j_plus(lam: Partition, phi_plus: Flag, nu: Partition) -> GrahamSum:
     return GrahamSum(mul_terms(upper, lower), nu.size - lam.size)
 
 
+@lru_cache(maxsize=HALF_CACHE_SIZE)
 def j_minus(nu_c: Partition, xi: Flag, rho_c: Partition) -> GrahamSum:
     """j_- on its conjugate half (nu', xi, rho'): j_plus there, then the
-    variable reversal omega_1 (Type 1 factors become Type 2)."""
+    variable reversal omega_1 (Type 1 factors become Type 2).  Built fresh
+    from j_plus's shared sum, then cached: its callers share it in turn."""
     inner = j_plus(nu_c, xi, rho_c)
     # omega_1 is an involution on factors: distinct monomials stay distinct
     return GrahamSum({tuple(sorted(map(omega1_code, k))): c
@@ -157,26 +166,15 @@ def unique_nu(lam: Partition, phi: Flag, rho: Partition) -> Partition | None:
     return ctx.nu
 
 
-def _memo(halves: dict | None, key, compute):
-    """compute(), kept under key in halves, the memo the caller owns."""
-    if halves is None:
-        return compute()
-    if key not in halves:
-        halves[key] = compute()
-    return halves[key]
-
-
-def j_coefficient(lam: Partition, phi: Flag, rho: Partition,
-                  halves: dict | None = None) -> GrahamSum:
+def j_coefficient(lam: Partition, phi: Flag, rho: Partition) -> GrahamSum:
     """The normalized Graham-positive coefficient: every monomial's total
     beta exponent equals its factor count after multiplying by
-    beta^{|lam| - |rho|}, so the returned sum has beta_exp 0.  The halves
-    memo keeps j_minus under ("-", ctx.lower), j_plus under ("+", ctx.upper)."""
+    beta^{|lam| - |rho|}, so the returned sum has beta_exp 0.  A fresh sum:
+    the product of the cached j_minus and j_plus, which it leaves unchanged."""
     ctx = build_context(lam, phi, rho)
     if ctx.nu is None:
         return GrahamSum.zero()
-    raw = _memo(halves, ("-", ctx.lower), lambda: j_minus(*ctx.lower)) \
-        * _memo(halves, ("+", ctx.upper), lambda: j_plus(*ctx.upper))
+    raw = j_minus(*ctx.lower) * j_plus(*ctx.upper)
     if raw.beta_exp + lam.size - rho.size != 0:
         raise RuntimeError("the beta exponent differs from the factor count")
     return GrahamSum(raw.terms)
@@ -204,15 +202,12 @@ def j_plus_numeric(lam: Partition, phi_plus: Flag, nu: Partition,
 
 
 def j_numeric(lam: Partition, phi: Flag, rho: Partition,
-              point: EvaluationPoint, halves: dict | None = None) -> int:
+              point: EvaluationPoint) -> int:
     """Raw (unnormalized) coefficient through the unique middle partition,
-    both halves as tableau sums over F_p at x := y, memoized per point."""
+    each half evaluated as a tableau sum over F_p at x := y, uncached."""
     ctx = build_context(lam, phi, rho)
     if ctx.nu is None:
         return 0
-    upper_pt = _memo(halves, point, point.with_x_to_y)
-    lower_pt = _memo(halves, ("omega1", point), upper_pt.omega1)
-    return _memo(halves, ("-", ctx.lower, point),
-                 lambda: j_plus_numeric(*ctx.lower, lower_pt)) \
-        * _memo(halves, ("+", ctx.upper, point),
-                lambda: j_plus_numeric(*ctx.upper, upper_pt)) % point.prime
+    pt = point.with_x_to_y()
+    return j_plus_numeric(*ctx.lower, pt.omega1()) \
+        * j_plus_numeric(*ctx.upper, pt) % point.prime

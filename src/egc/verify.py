@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import groupby, permutations as iter_permutations
-from operator import itemgetter, le
+from operator import le
 
 from .grothendieck import (ORBIT_PRIME, ascent_chain, field_sum, g_eval,
                            grothendieck_poly, gvex_checker)
@@ -178,7 +178,12 @@ def _decompose_group(cfg: RunConfig, group) -> tuple[int, list[str]]:
 
 
 def suite_decompose(cfg: RunConfig) -> dict:
-    return _grouped("decompose", _decompose_group, cfg)
+    # a unit of work is one λ with its flags
+    pairs = _pairs(cfg.max_size, *cfg.flag_range)
+    groups = [(lam, [phi for _, phi in g])
+              for lam, g in groupby(pairs, key=lambda inst: inst[0])]
+    return {**_collect("decompose", _decompose_group, groups, cfg),
+            "instances": len(pairs)}
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +288,10 @@ def suite_gvex(cfg: RunConfig) -> dict:
 # Suite: theorem — structure and cross-representation of the coefficients.
 
 
-def _theorem_instance(cfg: RunConfig, inst, halves: dict | None = None
-                      ) -> tuple[int, list[str]]:
-    """The checks of one (λ, φ) over every ρ ⊆ λ; halves memoizes the
-    symbolic route.  Each trial's point is drawn once and shared by every
-    ρ: each check keeps its false-pass bound degree/p, not independently."""
+def _theorem_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
+    """The checks of one (λ, φ) over every ρ ⊆ λ.  Each trial's point is
+    drawn once and shared by every ρ: each check keeps its false-pass bound
+    degree/p, not independently."""
     prime = cfg.prime
     lam, phi = Partition(inst[0]), Flag(inst[1])
     key = f"lam={lam.parts} phi={phi.bounds}"
@@ -297,10 +301,9 @@ def _theorem_instance(cfg: RunConfig, inst, halves: dict | None = None
     yhi = max([1] + list(phi.bounds)) + lam.part(1) + 1
     points = [sample_point(prime, rng, (), range(ylo, yhi))
               for _ in range(cfg.trials)]
-    numeric = {}  # the numeric route's own memo, over this instance's points
     for rho in subpartitions(lam):
         rkey = f"{key} rho={rho.parts}"
-        j = j_coefficient(lam, phi, rho, halves)
+        j = j_coefficient(lam, phi, rho)
         if j.beta_exp != 0:
             failures.append(f"{rkey}: beta exponent != factor count")
         for codes, coeff in sorted(j.terms.items()):
@@ -330,30 +333,17 @@ def _theorem_instance(cfg: RunConfig, inst, halves: dict | None = None
         for pt in points:
             checks += 1
             lhs = eval_graham(j, pt)
-            rhs = pow(pt.beta, norm, prime) \
-                * j_numeric(lam, phi, rho, pt, numeric) % prime
+            rhs = pow(pt.beta, norm, prime) * j_numeric(lam, phi, rho, pt) \
+                % prime
             if lhs != rhs:
                 failures.append(f"{rkey}: structural and windowed values "
                                 "differ")
     return checks, failures
 
 
-def _theorem_group(cfg: RunConfig, group) -> tuple[int, list[str]]:
-    """λ's flags by φ₊, each through _guarded; upper halves go with φ₊."""
-    lam, flags = group
-    halves, results = {}, {}
-    by_plus = sorted((flag_split(Flag(b))[1].bounds, b) for b in flags)
-    for _, same in groupby(by_plus, key=itemgetter(0)):
-        halves = {k: v for k, v in halves.items() if k[0] == "-"}
-        run = partial(_theorem_instance, halves=halves)
-        for _, phi in same:
-            results[phi] = _guarded("theorem", run, cfg, (lam, phi))
-    ordered = [results[phi] for phi in flags]  # the canonical order
-    return sum(c for c, _ in ordered), [f for _, fs in ordered for f in fs]
-
-
 def suite_theorem(cfg: RunConfig) -> dict:
-    return _grouped("theorem", _theorem_group, cfg)
+    return _collect("theorem", _theorem_instance,
+                    _pairs(cfg.max_size, *cfg.flag_range), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +515,6 @@ def _collect(name, fn, instances, cfg):
         results = [run(key) for key in instances]
     return _report(name, len(instances), sum(c for c, _ in results),
                    [f for _, fs in results for f in fs])
-
-
-def _grouped(name, fn, cfg):  # units of one λ with all its flags
-    pairs = _pairs(cfg.max_size, *cfg.flag_range)
-    groups = [(lam, [phi for _, phi in g])
-              for lam, g in groupby(pairs, key=lambda inst: inst[0])]
-    return {**_collect(name, fn, groups, cfg), "instances": len(pairs)}
 
 
 def _report(name, instances, checks, failures):

@@ -28,7 +28,7 @@ def _load_tracing():
     return module
 
 
-def test_tracer_installs_every_target():
+def test_tracer_installs_every_target(capsys):
     tracing = _load_tracing()
     original = egc.shapes.skew_props
     tracer = tracing.Tracer()
@@ -36,6 +36,10 @@ def test_tracer_installs_every_target():
         tracer.install()  # a KeyError names a target that is gone
         egc.shapes.skew_props((2, 1), (1,))
         assert tracer.calls["shapes.skew_props"] == 1
+        # egc j runs under the wrappers, clearing its caches included
+        assert egc.cli.main(["j", "--lambda", "2,1", "--phi", "-3,-1",
+                             "--rho", "1"]) == 0
+        assert tracer.calls["pipeline.j_coefficient"] == 1
     finally:
         tracer.uninstall()
     assert egc.shapes.skew_props is original

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from egc import cli, perms
+from egc import cli, perms, pipeline
 from egc.cli import main, parse_ints, parse_range
 from egc.perms import Permutation, code_of
 from egc.pipeline import j_of_permutation
@@ -71,6 +71,14 @@ def test_j_json_canonical_order(capsys):
         {"factors": [[-1, 0]], "mult": 1},
         {"factors": [[-1, 0], [1, -2]], "mult": 1},
         {"factors": [[1, -2]], "mult": 1}]
+
+
+def test_j_leaves_no_halves_cached(capsys):
+    """egc j computes one coefficient, then drops the halves it cached."""
+    assert run(capsys, "j", "--lambda", "2,1", "--phi", "-3,-1", "--rho",
+               "1")[0] == 0
+    assert pipeline.j_plus.cache_info().currsize == 0
+    assert pipeline.j_minus.cache_info().currsize == 0
 
 
 def test_j_incompatible_flag(capsys):

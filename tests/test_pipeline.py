@@ -264,6 +264,8 @@ def test_theorem_suite_derives_each_pi_chain_once(monkeypatch):
         return real_j_plus(lam, phi_plus, nu)
 
     real_chain.cache_clear()
+    j_plus.cache_clear()  # a warm cache would never reach the patch
+    j_minus.cache_clear()
     monkeypatch.setattr(pipeline, "pi_chain", chain)
     monkeypatch.setattr(pipeline, "j_plus", upper)
     report = verify_identities("theorem", max_size=3, trials=3)
@@ -348,21 +350,56 @@ def test_cross_representation():
 
 
 def test_shared_memo_matches_fresh_calls():
-    """One memo per route, shared by every (λ, φ, ρ) with |λ| <= 3 and
-    flags in [-2, 2] and, numerically, by two points, gives each call's
-    memo-less value: each half is kept under all that it reads."""
-    rng = random.Random(5)
-    points = [sample_point(P, rng, (), range(-6, 7)) for _ in range(2)]
-    symbolic, numeric = {}, {}
+    """The cached j_plus and j_minus, filled from empty by every half of
+    each (λ, φ, ρ) with |λ| <= 3 and flags in [-2, 2], give what their
+    uncached bodies give: each is kept under all that it reads."""
+    j_plus.cache_clear()
+    j_minus.cache_clear()
+    calls = 0
     for lam in partitions_up_to(3):
         for phi in compatible_flags(lam, -2, 2):
             for rho in subpartitions(lam):
-                assert j_coefficient(lam, phi, rho, symbolic).terms == \
-                    j_coefficient(lam, phi, rho).terms
-                for pt in points:
-                    assert j_numeric(lam, phi, rho, pt, numeric) == \
-                        j_numeric(lam, phi, rho, pt)
-    assert symbolic and numeric
+                ctx = build_context(lam, phi, rho)
+                if ctx.nu is None:
+                    continue
+                for half, args in ((j_plus, ctx.upper), (j_minus, ctx.lower)):
+                    calls += 1
+                    assert half(*args) == half.__wrapped__(*args)
+    assert j_plus.cache_info().hits and j_minus.cache_info().hits
+    assert j_plus.cache_info().misses + j_minus.cache_info().misses < calls
+
+
+def test_half_caches_stay_bounded():
+    """A run with more distinct halves than the caches hold keeps each at
+    HALF_CACHE_SIZE sums."""
+    j_plus.cache_clear()
+    j_minus.cache_clear()
+    uppers, lowers = set(), set()
+    for lam in partitions_up_to(4):
+        for phi in compatible_flags(lam, -3, 3):
+            for rho in subpartitions(lam):
+                ctx = build_context(lam, phi, rho)
+                if ctx.nu is not None:
+                    j_coefficient(lam, phi, rho)
+                    uppers.add(ctx.upper)
+                    lowers.add(ctx.lower)
+    assert min(len(uppers), len(lowers)) > pipeline.HALF_CACHE_SIZE
+    for half in (j_plus, j_minus):
+        info = half.cache_info()
+        assert info.maxsize == pipeline.HALF_CACHE_SIZE >= info.currsize
+
+
+def test_j_coefficient_result_is_a_fresh_sum():
+    """Changing a returned coefficient leaves the cached halves, and so
+    the next call's result, as they were."""
+    lam, phi = Partition((2, 1, 1)), Flag((-1, 1, 2))  # both halves > 1 term
+    first = j_coefficient(lam, phi, lam)
+    expected = GrahamSum(first.terms, first.beta_exp)
+    assert len(first.terms) == 8
+    first.terms.clear()
+    first.terms[(factor_code((1, 2)),)] = 5
+    first.beta_exp = 3
+    assert j_coefficient(lam, phi, lam) == expected
 
 
 def test_structure_all_positive_types():

@@ -3,7 +3,6 @@ deterministic, and parallel runs match serial ones."""
 
 import concurrent.futures
 import os
-from collections import Counter
 
 import pytest
 
@@ -54,7 +53,7 @@ def test_theorem_structure_checks_report_each_fault(monkeypatch):
     terms = {(f12, f12): 1, (f12, factor_code((-1, 0))): 1,
              (unordered,): 1, (f20, f20, f20): 1}
     monkeypatch.setattr(verify, "j_coefficient",
-                        lambda lam, phi, rho, halves=None: GrahamSum(terms))
+                        lambda lam, phi, rho: GrahamSum(terms))
     checks, failures = verify._theorem_instance(RunConfig(trials=0),
                                                 ((1,), (1,)))
     faults = ["factor (1, 2) of type 1 appears 2 times",
@@ -231,53 +230,24 @@ def test_suite_theorem_small():
     assert report["ok"]
 
 
-def test_theorem_computes_each_half_once(monkeypatch):
-    """Within one λ's unit of work, j_plus runs once per distinct input of
-    each role: the upper half, and the lower one that j_minus conjugates.
-    Within one (λ, φ), j_plus_numeric runs once per distinct (half,
-    point)."""
-    options = {"max_size": 3, "trials": 2, "flag_range": (-2, 2)}
-    plus_calls, numeric_calls, unit = [], [], []
-    real_group, real_instance = verify._theorem_group, verify._theorem_instance
-    real_plus, real_numeric = pipeline.j_plus, pipeline.j_plus_numeric
-
-    def group(cfg, g):
-        unit[:] = [g[0]]
-        return real_group(cfg, g)
-
-    def instance(cfg, inst, **kwargs):
-        unit[1:] = [inst[1]]
-        return real_instance(cfg, inst, **kwargs)
-
-    def plus(*args):
-        plus_calls.append((unit[0], args))
-        return real_plus(*args)
-
-    def numeric(*args):
-        numeric_calls.append((tuple(unit), args))
-        return real_numeric(*args)
-
-    monkeypatch.setattr(verify, "_theorem_group", group)
-    monkeypatch.setattr(verify, "_theorem_instance", instance)
-    monkeypatch.setattr(pipeline, "j_plus", plus)
-    monkeypatch.setattr(pipeline, "j_plus_numeric", numeric)
-    report = verify_identities("theorem", **options)
-    assert report["ok"]
-
-    halves, numeric_halves = set(), set()
+def test_theorem_computes_each_half_once():
+    """From empty caches, the theorem suite computes j_plus once per
+    distinct input of either role, the upper half and the lower one that
+    j_minus conjugates, and j_minus once per distinct lower half."""
+    pipeline.j_plus.cache_clear()
+    pipeline.j_minus.cache_clear()
+    assert verify_identities("theorem", max_size=3, trials=2,
+                             flag_range=(-2, 2))["ok"]
+    uppers, lowers = set(), set()
     for lam, bounds in verify._pairs(3, -2, 2):
         for rho in subpartitions(Partition(lam)):
             ctx = build_context(Partition(lam), Flag(bounds), rho)
-            if ctx.nu is None:
-                continue
-            for role, half in (("+", ctx.upper), ("-", ctx.lower)):
-                halves.add((lam, role, half))
-                numeric_halves.update(((lam, bounds), role, half, k)
-                                      for k in range(2))
-    assert Counter(plus_calls) == Counter((lam, half)
-                                          for lam, _, half in halves)
-    assert len(set(numeric_calls)) == len(numeric_calls) \
-        == len(numeric_halves)
+            if ctx.nu is not None:
+                uppers.add(ctx.upper)
+                lowers.add(ctx.lower)
+    assert len(uppers | lowers) <= pipeline.HALF_CACHE_SIZE  # none evicted
+    assert pipeline.j_plus.cache_info().misses == len(uppers | lowers)
+    assert pipeline.j_minus.cache_info().misses == len(lowers)
 
 
 def test_reports_deterministic():
@@ -345,7 +315,7 @@ def test_unit_exception_becomes_failure(monkeypatch):
                for inst in broken)
     real = verify.j_coefficient
 
-    def raising(lam, phi, rho, halves=None):
+    def raising(lam, phi, rho):
         if lam.parts == (2, 1):
             raise RuntimeError("no coefficient")
         return real(lam, phi, rho)
@@ -357,6 +327,50 @@ def test_unit_exception_becomes_failure(monkeypatch):
         assert report["failures"] == [
             f"theorem {inst}: RuntimeError: no coefficient"
             for inst in broken]
+        assert report["checks"] == clean["checks"] - lost > 0
+
+
+@pytest.mark.parametrize("suite", ["decompose", "pi", "gvex", "omega"])
+def test_suite_exception_becomes_failure(monkeypatch, suite):
+    """An exception in one unit of each other suite is that unit's
+    failure: the other units still run, serially and in a pool alike.
+    The injection raises from the unit's random stream, for gvex from its
+    checker (whose ValueError the unit reports itself)."""
+    options = {"max_size": 3, "trials": 1}
+    cfg = RunConfig(**options)
+    lam_21 = [(lam, phi) for lam, phi in verify._pairs(3, -2, 3)
+              if lam == (2, 1)]
+    unit_fn, broken = {
+        "decompose": (verify._decompose_group,
+                      [((2, 1), [phi for _, phi in lam_21])]),
+        "pi": (verify._pi_instance, [inst for inst in lam_21
+                                     if min(inst[1]) >= 0]),
+        "gvex": (verify._gvex_instance, [((), 0)]),
+        "omega": (verify._omega_instance, [(2, 1)]),
+    }[suite]
+    clean = verify_identities(suite, **options)
+    lost = sum(unit_fn(cfg, unit)[0] for unit in broken)
+    if suite == "gvex":
+        real_checker = verify.gvex_checker
+
+        def checker(w, **kwargs):
+            if w.is_identity():
+                raise RuntimeError("injected")
+            return real_checker(w, **kwargs)
+        monkeypatch.setattr(verify, "gvex_checker", checker)
+    else:
+        real_stream = verify._stream
+
+        def stream(seed, name):
+            if name.startswith(f"{suite}:lam=(2, 1)"):
+                raise RuntimeError("injected")
+            return real_stream(seed, name)
+        monkeypatch.setattr(verify, "_stream", stream)
+    for jobs in (1, 2):
+        report = verify_identities(suite, **options, jobs=jobs)
+        assert report["instances"] == clean["instances"] and not report["ok"]
+        assert report["failures"] == [
+            f"{suite} {unit}: RuntimeError: injected" for unit in broken]
         assert report["checks"] == clean["checks"] - lost > 0
 
 
