@@ -23,7 +23,9 @@ tree, and prints every command whose stdout or exit code differs:
 - `egc verify --suite theorem --max-size 5 --flag-range -3:3 --trials 1
   --seed 0 --format json`, the flag range of acceptance criterion 6, where
   the lower halves reach wider conjugate flags than the sampled run;
-- `egc tableaux`, with an explicit window and with the default one;
+- `egc tableaux`, with an explicit window and with the default one, on
+  the one-cell shape over the window 1:12, wider than any the suites use,
+  and on (2,1) under the flag (2,4) over the window -2:4;
 - `egc perm --oneline`, and `egc perm --word` on a short word and on the
   one letter 20000, whose normalisation keeps one far-off transposition;
 - `egc perm --format json` on two wide windows: the word 0,2000 (two
@@ -66,6 +68,8 @@ OTHERS = [
     ["tableaux", "--lambda", "1,1", "--mu", "1", "--flag", "1,2", "--sign",
      "positive", "--window", "1:2"],
     ["tableaux", "--lambda", "2,1"],
+    ["tableaux", "--lambda", "1", "--window", "1:12"],
+    ["tableaux", "--lambda", "2,1", "--flag", "2,4", "--window", "-2:4"],
     ["perm", "--oneline", "3,4,5,1,6,2", "--base", "1"],
     ["perm", "--word", "0,1,-1"],
     ["perm", "--word", "20000", "--format", "json"],

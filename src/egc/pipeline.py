@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .grothendieck import g_eval
 from .perms import Permutation, code_shape_flag
-from .ring import (EvaluationPoint, GrahamSum, add_terms, factor_code,
-                   mul_terms, omega1_code)
+from .ring import (EvaluationPoint, GrahamSum, add_terms, code_factor,
+                   factor_code, mul_terms, omega1_factor)
 from .shapes import (Flag, Partition, SkewShape, compatible_form, delta_seq,
                      disconnected_inners, flag_split, is_compatible, q_of,
                      skew_props, xi_flag)
@@ -111,8 +112,11 @@ def j_minus(nu_c: Partition, xi: Flag, rho_c: Partition) -> GrahamSum:
     variable reversal omega_1 (Type 1 factors become Type 2).  Built fresh
     from j_plus's shared sum, then cached: its callers share it in turn."""
     inner = j_plus(nu_c, xi, rho_c)
-    # omega_1 is an involution on factors: distinct monomials stay distinct
-    return GrahamSum({tuple(sorted(map(omega1_code, k))): c
+    # each distinct code mapped once; omega_1 is an involution on factors,
+    # so distinct monomials stay distinct
+    image = {code: factor_code(omega1_factor(code_factor(code)))
+             for code in set(chain.from_iterable(inner.terms))}
+    return GrahamSum({tuple(sorted(map(image.__getitem__, k))): c
                       for k, c in inner.terms.items()}, inner.beta_exp)
 
 

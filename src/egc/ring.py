@@ -132,20 +132,6 @@ def code_factor(code: int) -> tuple[int, int]:
             (code & _IDX_MASK) + _IDX_LO)
 
 
-@lru_cache(maxsize=1 << 16)
-def code_facts(code: int) -> tuple[tuple[int, int], bool, int | None]:
-    """A code's factor, whether it keeps the order prec, and its type (None
-    if not), all read from the decoded factor, not from the type bits."""
-    f = code_factor(code)
-    return f, prec(*f), factor_type(f) if prec(*f) else None
-
-
-@lru_cache(maxsize=1 << 16)
-def omega1_code(code: int) -> int:
-    """The code of omega1_factor of the factor a code stands for."""
-    return factor_code(omega1_factor(code_factor(code)))
-
-
 def add_terms(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, c in b.items():

@@ -118,17 +118,19 @@ class EnumSpec:
                 raise ValueError("flag shorter than the occupied rows")
 
 
-@lru_cache(maxsize=None)
-def _subsets(lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
-    """Nonempty subsets of [lo, hi] as sorted tuples, in lexicographic order."""
-    if lo > hi:
-        return ()
-    out = []
-    for a in range(lo, hi + 1):
-        out.append((a,))
-        out.extend((a,) + rest for rest in _subsets(a + 1, hi))
-    # generated per leading element; sort for global lex order
-    return tuple(sorted(out))
+def _subsets(lo: int, hi: int):
+    """Nonempty subsets of [lo, hi] as sorted tuples, in lexicographic order:
+    after s comes s with s[-1] + 1 appended while that is at most hi, else
+    s without its last value and its new last value raised by one."""
+    s = [lo] if lo <= hi else []
+    while s:
+        yield tuple(s)
+        if s[-1] < hi:
+            s.append(s[-1] + 1)
+        else:
+            s.pop()
+            if s:
+                s[-1] += 1
 
 
 def cell_bounds(spec: EnumSpec, r: int) -> tuple[int, int]:

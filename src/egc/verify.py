@@ -15,14 +15,14 @@ import os
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import groupby, permutations as iter_permutations
+from itertools import chain, groupby, permutations as iter_permutations
 from operator import le
 
 from .grothendieck import (ORBIT_PRIME, ascent_chain, field_sum, g_eval,
                            grothendieck_poly, gvex_checker)
 from .perms import Permutation
 from .pipeline import j_coefficient, j_numeric, j_plus_numeric, pi_chain
-from .ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, code_facts,
+from .ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, code_factor,
                    eval_graham, factor_type, is_prime, isobaric,
                    omega1_factor, prec, sample_point)
 from .shapes import (Flag, Partition, SkewShape, compatible_flags,
@@ -306,22 +306,28 @@ def _theorem_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
         j = j_coefficient(lam, phi, rho)
         if j.beta_exp != 0:
             failures.append(f"{rkey}: beta exponent != factor count")
+        # each distinct factor once, decoded (not read from its type bits):
+        # its type, None when it breaks the order prec
+        facts = {}
+        for code in set(chain.from_iterable(j.terms)):
+            f = code_factor(code)
+            facts[code] = f, factor_type(f) if prec(*f) else None
+        unordered = {code for code, (_, t) in facts.items() if t is None}
+        type1 = {code for code, (_, t) in facts.items() if t == 1}
+        type2 = {code for code, (_, t) in facts.items() if t == 2}
         for codes, coeff in sorted(j.terms.items()):
             checks += 1
             if coeff <= 0:
                 failures.append(f"{rkey}: nonpositive coefficient {coeff}")
-            # per distinct factor (a run of equal codes in the sorted key):
-            # its facts and its multiplicity
-            runs = [(code_facts(code), len(list(run)))
-                    for code, run in groupby(codes)]
-            if not all(in_order for (_, in_order, _), _ in runs):
+            if not unordered.isdisjoint(codes):
                 failures.append(f"{rkey}: factor violates the order")
-            for (f, _, ftype), m in runs:
-                if m > (2 if ftype == 3 else 1):
-                    failures.append(f"{rkey}: factor {f} of type "
-                                    f"{ftype} appears {m} times")
-            types = {ftype for (_, _, ftype), _ in runs}
-            if {1, 2} <= types:
+            if len(set(codes)) < len(codes):  # a run of equal codes
+                for code, run in groupby(codes):
+                    (f, ftype), m = facts[code], len(list(run))
+                    if m > (2 if ftype == 3 else 1):
+                        failures.append(f"{rkey}: factor {f} of type "
+                                        f"{ftype} appears {m} times")
+            if not (type1.isdisjoint(codes) or type2.isdisjoint(codes)):
                 failures.append(f"{rkey}: monomial mixes Type 1 and Type 2")
         if rho.size == lam.size:
             checks += 1

@@ -14,7 +14,8 @@ from egc.pipeline import (build_context, half_sum, j_coefficient, j_minus,
                           j_numeric, j_of_permutation, j_plus, pi_chain,
                           unique_nu)
 from egc.ring import (DEFAULT_PRIME, GrahamMonomial, GrahamSum, add_terms,
-                      eval_graham, factor_code, mul_terms, sample_point)
+                      eval_graham, factor_code, mul_terms, omega1_factor,
+                      sample_point)
 from egc.shapes import (Flag, Partition, SkewShape, compatible_flags,
                         diagonal_split, disconnected_inners, is_compatible,
                         normal_flag, q_of, subpartitions)
@@ -141,6 +142,22 @@ def test_j_minus_fixtures():
         GrahamSum.one()
     ctx = build_context(Partition((1, 1)), Flag((-2, -1)), Partition((1,)))
     assert ctx.lower == (Partition((2,)), Flag((1,)), Partition((1,)))
+
+
+def test_j_minus_is_omega1_of_j_plus_on_every_lower_half():
+    """On every lower half with |λ| <= 4 and flags in [-3, 3], j_minus is
+    j_plus's sum with each factor mapped by omega1_factor."""
+    lowers = {ctx.lower for lam in partitions_up_to(4)
+              for phi in compatible_flags(lam, -3, 3)
+              for rho in subpartitions(lam)
+              if (ctx := build_context(lam, phi, rho)).nu is not None}
+    assert len(lowers) == 186
+    for half in lowers:
+        inner = j_plus(*half)
+        expected = {GrahamMonomial(map(omega1_factor,
+                                       GrahamMonomial.of_key(k).factors)).key: c
+                    for k, c in inner.terms.items()}
+        assert j_minus(*half) == GrahamSum(expected, inner.beta_exp), half
 
 
 def test_j_coefficient_fixtures():

@@ -10,7 +10,7 @@ from egc.ring import (DEFAULT_PRIME, MILLER_RABIN_BASES, MILLER_RABIN_BOUND,
                       EvaluationError, EvaluationPoint, GrahamMonomial, GrahamSum, SparsePoly,
                       code_factor, eval_graham, factor_code, factor_sort_key,
                       factor_type, field_inv, is_prime, isobaric, ominus,
-                      omega1_code, omega1_factor, prec, sample_point)
+                      omega1_factor, prec, sample_point)
 from egc.perms import Permutation
 from egc.verify import RunConfig
 
@@ -169,7 +169,6 @@ def test_factor_codes_sort_canonically():
     assert by_code == sorted(factors, key=factor_sort_key)
     for f in factors:
         assert code_factor(factor_code(f)) == f
-        assert code_factor(omega1_code(factor_code(f))) == omega1_factor(f)
 
 
 def gsum(monomials, beta_exp=0):

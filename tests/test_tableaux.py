@@ -2,7 +2,7 @@
 
 import random
 import re
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -345,6 +345,15 @@ def test_enumeration_matches_filtered_assignments(shape, bounds, flagged,
             expected.append(t)
     expected.sort(key=lambda t: [cell for row in t.rows for cell in row])
     assert list(enumerate_tableaux(spec)) == expected
+
+
+def test_subsets_lists_every_nonempty_subset_in_lexicographic_order():
+    for lo in range(-3, 2):
+        for hi in range(lo - 1, 8):
+            values = range(lo, hi + 1)
+            assert list(_subsets(lo, hi)) == sorted(
+                s for k in range(1, len(values) + 1)
+                for s in combinations(values, k)), (lo, hi)
 
 
 def test_count_instance_empty_shape():

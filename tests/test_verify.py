@@ -46,12 +46,14 @@ def test_run_config_validation():
 
 def test_theorem_structure_checks_report_each_fault(monkeypatch):
     """One monomial per structural fault, each reported once per ρ in the
-    sorted key order; the order check decodes the factor (2, 1) and does
-    not trust the Type 1 bits its hand-made code carries."""
+    sorted key order, and a Type 3 square, which is none; the order check
+    decodes the factor (2, 1) and does not trust the Type 1 bits its
+    hand-made code carries."""
     f12, f20 = factor_code((1, 2)), factor_code((2, 0))
     unordered = (1 << 42) | ((2 - ring._IDX_LO) << 21) | (1 - ring._IDX_LO)
     terms = {(f12, f12): 1, (f12, factor_code((-1, 0))): 1,
-             (unordered,): 1, (f20, f20, f20): 1}
+             (unordered,): 1, (unordered, unordered): 1, (f20, f20): 1,
+             (f20, f20, f20): 1}
     monkeypatch.setattr(verify, "j_coefficient",
                         lambda lam, phi, rho: GrahamSum(terms))
     checks, failures = verify._theorem_instance(RunConfig(trials=0),
@@ -59,9 +61,11 @@ def test_theorem_structure_checks_report_each_fault(monkeypatch):
     faults = ["factor (1, 2) of type 1 appears 2 times",
               "monomial mixes Type 1 and Type 2",
               "factor violates the order",
+              "factor violates the order",
+              "factor (2, 1) of type None appears 2 times",
               "factor (2, 0) of type 3 appears 3 times"]
     key = "lam=(1,) phi=(1,)"
-    assert checks == 4 + 4 + 1
+    assert checks == 6 + 6 + 1
     assert failures == [f"{key} rho=(1,): {m}" for m in faults] \
         + [f"{key} rho=(1,): beta=0 specialization is 0, expected 1"] \
         + [f"{key} rho=(): {m}" for m in faults]
