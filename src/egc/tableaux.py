@@ -227,15 +227,15 @@ def _layout(rows: tuple[tuple[int, int, int], ...]):
     return tuple(cells), tuple(cuts)
 
 
-def enumerate_tableaux(spec: EnumSpec):
-    """All admissible fillings, row-major, lexicographic on entry sets."""
-    shape = spec.shape
-    cells, cuts = _layout(shape.props.rows)
+def fillings(spec: EnumSpec):
+    """The rows of every admissible filling, row-major, lexicographic on
+    entry sets: each a tuple of rows of sorted-tuple cells."""
+    cells, cuts = _layout(spec.shape.props.rows)
     last = len(cells) - 1
     if last < 0:
-        yield _built(shape, tuple(() for _ in cuts))
+        yield tuple(() for _ in cuts)
         return
-    bounds = {r: cell_bounds(spec, r) for r in shape.props.rows_occupied}
+    bounds = {r: cell_bounds(spec, r) for r in spec.shape.props.rows_occupied}
     grid: list = [()] * len(cells)
 
     def fill(i: int):
@@ -248,12 +248,17 @@ def enumerate_tableaux(spec: EnumSpec):
         for cell in _subsets(lo, hi):
             grid[i] = cell
             if i == last:
-                yield _built(shape, tuple([tuple(grid[a:b])
-                                           for a, b, _ in cuts]))
+                yield tuple([tuple(grid[a:b]) for a, b, _ in cuts])
             else:
                 yield from fill(i + 1)
 
     yield from fill(0)
+
+
+def enumerate_tableaux(spec: EnumSpec):
+    """All admissible fillings as tableaux, in the order of fillings."""
+    for rows in fillings(spec):
+        yield _built(spec.shape, rows)
 
 
 def _weight(t: _Tableau, point: EvaluationPoint, x_first: bool) -> int:
@@ -282,8 +287,17 @@ def split(t: SetValuedTableau) -> tuple[SetValuedTableau, SetValuedTableau]:
     shape nu) and positive part (skew shape lambda/mu), with mu <= nu."""
     if t.shape.inner.parts:
         raise ValueError("split requires a straight shape")
+    minus_shape, plus_shape, minus_rows, plus_rows = split_rows(
+        t.shape.outer.parts, t.rows)
+    # the parts of semistandard cells on either side of 0 stay semistandard
+    return _built(minus_shape, minus_rows), _built(plus_shape, plus_rows)
+
+
+def split_rows(lam: tuple[int, ...], rows):
+    """split on the rows of a tableau of straight shape lambda: the shapes
+    nu and lambda/mu of its parts and their rows."""
     minus_rows, plus_rows, nu_rows, mu_rows = [], [], [], []
-    for row in t.rows:
+    for row in rows:
         # the row weakly increases: mu_r cells <= 0, then at most one cell
         # across 0, which alone is cut, then cells > 0 from nu_r on
         nu_r = mu_r = 0
@@ -304,14 +318,12 @@ def split(t: SetValuedTableau) -> tuple[SetValuedTableau, SetValuedTableau]:
         nu_rows.append(nu_r)
         mu_rows.append(mu_r)
     minus_shape, plus_shape, disconnected = _split_shapes(
-        t.shape.outer.parts, tuple(nu_rows), tuple(mu_rows))
+        lam, tuple(nu_rows), tuple(mu_rows))
     if not disconnected:
-        raise RuntimeError(f"split of {t.to_text()!r}: nu/mu is not "
-                           "disconnected")
-    # the parts of semistandard cells on either side of 0 stay semistandard
-    tminus = _built(minus_shape,
-                    tuple(minus_rows[:len(minus_shape.outer.parts)]))
-    return tminus, _built(plus_shape, tuple(plus_rows))
+        text = _built(SkewShape(Partition(lam)), rows).to_text()
+        raise RuntimeError(f"split of {text!r}: nu/mu is not disconnected")
+    return (minus_shape, plus_shape,
+            tuple(minus_rows[:len(minus_shape.outer.parts)]), tuple(plus_rows))
 
 
 @lru_cache(maxsize=4096)
@@ -325,27 +337,36 @@ def _split_shapes(lam: tuple[int, ...], nu_rows: tuple[int, ...],
 
 
 def merge(tminus: SetValuedTableau, tplus: SetValuedTableau) -> SetValuedTableau:
-    if tminus.shape.inner.parts:
+    """The inverse of split; the constructor checks the result."""
+    return SetValuedTableau(*merge_rows(tminus.shape, tplus.shape,
+                                        tminus.rows, tplus.rows))
+
+
+def merge_rows(minus_shape: SkewShape, plus_shape: SkewShape, minus_rows,
+               plus_rows) -> tuple[SkewShape, tuple]:
+    """merge on the shapes and rows of the two parts: the shape lambda and
+    the merged rows, which are not checked to be semistandard."""
+    if minus_shape.inner.parts:
         raise ValueError("nonpositive part must have straight shape")
-    for row in tminus.rows:
+    for row in minus_rows:
         for cell in row:
             if cell[-1] > 0:
                 raise ValueError("nonpositive part has a positive value")
-    for row in tplus.rows:
+    for row in plus_rows:
         for cell in row:
             if cell[0] < 1:
                 raise ValueError("positive part has a nonpositive value")
-    nu, mu = tminus.shape.outer.parts, tplus.shape.inner.parts
-    shape = _merge_shape(tplus.shape.outer.parts, nu, mu)
+    nu, mu = minus_shape.outer.parts, plus_shape.inner.parts
+    shape = _merge_shape(plus_shape.outer.parts, nu, mu)
     # row r: cells 1..mu_r from minus, mu_r+1..nu_r join both, then plus;
-    # values <= 0 come first, and the constructor checks the result
+    # values <= 0 come first
     rows = []
-    for r, plus in enumerate(tplus.rows):
-        minus = tminus.rows[r] if r < len(nu) else ()
+    for r, plus in enumerate(plus_rows):
+        minus = minus_rows[r] if r < len(nu) else ()
         m = mu[r] if r < len(mu) else 0
         rows.append(minus[:m] + tuple(map(operator.add, minus[m:], plus))
                     + plus[len(minus) - m:])
-    return SetValuedTableau(shape, tuple(rows))
+    return shape, tuple(rows)
 
 
 @lru_cache(maxsize=4096)

@@ -27,9 +27,10 @@ from .ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, code_factor,
                    omega1_factor, prec, sample_point)
 from .shapes import (Flag, Partition, SkewShape, compatible_flags,
                      disconnected_inners, flag_split, q_of, subpartitions)
-from .tableaux import (COUNTS, EnumSpec, enumerate_tableaux, merge,
-                       omega1_inverse, omega1_tableau, r_weight_eval, split,
-                       tableau_sum, weight_eval)
+from .tableaux import (COUNTS, EnumSpec, SetValuedTableau,
+                       enumerate_tableaux, fillings, merge_rows,
+                       omega1_inverse, omega1_tableau, r_weight_eval,
+                       split_rows, tableau_sum, weight_eval)
 
 SUITES = ("decompose", "pi", "gvex", "theorem", "omega", "ring")
 
@@ -104,22 +105,24 @@ def _decompose_group(cfg: RunConfig, group) -> tuple[int, list[str]]:
     # split/merge are mutually inverse, and each flag's shape pairs match
     # the product counts.  A flag caps row maxima, so each tableau is split
     # once, under the pointwise largest flag (itself compatible), and
-    # tallied by its row maxima.  Enumeration is exponential: small shapes
-    # only.
+    # tallied by its row maxima.  The round trip runs on rows and builds no
+    # tableau: a merge result equal to the semistandard T needs no checks
+    # of its own.  Enumeration is exponential: small shapes only.
     run_bijection = lam.size <= 4
     if run_bijection:
         top = Flag(tuple(map(max, zip(*flags))))
-        for t in enumerate_tableaux(EnumSpec(shape, top, "any", cfg.window)):
-            tm, tp = split(t)
-            maxima = tuple(row[-1][-1] for row in t.rows)
+        for rows in fillings(EnumSpec(shape, top, "any", cfg.window)):
+            parts = split_rows(lam.parts, rows)
+            maxima = tuple(row[-1][-1] for row in rows)
             checks += 1
-            # a failure names the least flag admitting t, an instance too
-            if merge(tm, tp).rows != t.rows:
+            # a failure names the least flag admitting T, an instance too
+            if merge_rows(*parts) != (shape, rows):
                 least = map(min, zip(*(b for b in flags
                                        if all(map(le, maxima, b)))))
+                text = SetValuedTableau(shape, rows).to_text()
                 failures.append(f"lam={lam.parts} phi={tuple(least)}: "
-                                f"merge(split(T)) != T for {t.to_text()!r}")
-            k = maxima, (tm.shape.outer.parts, tp.shape.inner.parts)
+                                f"merge(split(T)) != T for {text!r}")
+            k = maxima, (parts[0].outer.parts, parts[1].inner.parts)
             tally[k] = tally.get(k, 0) + 1
 
     lo, hi = min(cfg.window[0], 1 - lam.part(1)), cfg.window[1]

@@ -419,6 +419,16 @@ def test_public_construction_validates(outer, inner, rows):
         SetValuedTableau(shape, rows)
 
 
+def test_split_rejects_a_connected_nu_over_mu():
+    """Two cells across 0 side by side make nu/mu = (2) connected.  No
+    semistandard tableau has them, so the filling is built unchecked."""
+    t = _built(SkewShape(Partition((2,))), (((-1, 1), (0, 2)),))
+    with pytest.raises(RuntimeError) as err:
+        split(t)
+    assert str(err.value) == ("split of '{-1,1} {0,2}': nu/mu is not "
+                              "disconnected")
+
+
 def test_merge_output_is_validated():
     # a nonpositive part whose row decreases, built past the checks
     bad = _built(SkewShape(Partition((2,))), (((0,), (-1,)),))

@@ -211,9 +211,9 @@ def test_decompose_flag_filter_is_exact(monkeypatch):
     t0 = SetValuedTableau(SkewShape(lam), (((0,),), ((2,),)))
     other = SetValuedTableau(SkewShape(lam), (((1,),), ((2,),)))
     assert split(t0)[0].shape != split(other)[0].shape
-    real = verify.split
-    monkeypatch.setattr(verify, "split",
-                        lambda t: real(other if t == t0 else t))
+    real = verify.split_rows
+    monkeypatch.setattr(verify, "split_rows", lambda lam, rows: real(
+        lam, other.rows if rows == t0.rows else rows))
     maxima = tuple(row[-1][-1] for row in t0.rows)
     dominating = [phi.bounds for phi in compatible_flags(lam, -1, 2)
                   if all(m <= b for m, b in zip(maxima, phi.bounds))]
@@ -226,6 +226,51 @@ def test_decompose_flag_filter_is_exact(monkeypatch):
     assert [f for f in failures if "counts differ" not in f] == [
         f"lam={lam.parts} phi={least}: merge(split(T)) != T for "
         f"{t0.to_text()!r}"]
+
+
+@pytest.mark.parametrize("wrong", ["rows", "shape"])
+def test_decompose_reports_a_wrong_merge(monkeypatch, wrong):
+    """A merge result that differs from T, in its rows (those of another
+    valid tableau) or in its shape alone, is exactly one merge∘split
+    failure, which names the least flag admitting T."""
+    lam = Partition((1, 1))
+    t0 = SetValuedTableau(SkewShape(lam), (((0,),), ((2,),)))
+    other = SetValuedTableau(SkewShape(lam), (((1,),), ((2,),)))
+    if wrong == "rows":
+        shape, rows = t0.shape, other.rows
+    else:
+        shape, rows = SkewShape(Partition((2, 1))), t0.rows
+    real = verify.merge_rows
+
+    def merged(*parts):
+        out = real(*parts)
+        return (shape, rows) if out == (t0.shape, t0.rows) else out
+    monkeypatch.setattr(verify, "merge_rows", merged)
+    failures = verify_identities("decompose", **DECOMPOSE_SMALL)["failures"]
+    assert failures == [f"lam={lam.parts} phi=(1, 2): merge(split(T)) != T "
+                        f"for {t0.to_text()!r}"]
+
+
+def test_decompose_reports_a_crossing_cell_kept_whole(monkeypatch):
+    """A split that counts the cell across 0 toward mu hands merge a
+    nonpositive part with a positive value; merge refuses it, and each λ
+    whose tableaux have such a cell (every λ here) is a unit failure."""
+    real = verify.split_rows
+
+    def whole(lam, rows):
+        minus_shape, _, _, _ = real(lam, rows)
+        nu = minus_shape.outer
+        return (minus_shape, SkewShape(Partition(lam), nu),
+                tuple(row[:nu.part(r)] for r, row in
+                      enumerate(rows[:len(nu)], start=1)),
+                tuple(row[nu.part(r):] for r, row in
+                      enumerate(rows, start=1)))
+    monkeypatch.setattr(verify, "split_rows", whole)
+    failures = verify_identities("decompose", **DECOMPOSE_SMALL)["failures"]
+    assert len(failures) == len(partitions_up_to(3))
+    assert all(f.startswith("decompose ") and f.endswith(
+        ": ValueError: nonpositive part has a positive value")
+        for f in failures)
 
 
 def test_suite_theorem_small():
