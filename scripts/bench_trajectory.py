@@ -7,9 +7,9 @@ bench/results/collect-<workload>-trace0.json: a list of run records, each
 with `correct`, `attempted`, `failed` and `metrics` (name -> value, unit).
 This script reads every such file in the results directory and writes
 
-- `schema` (the version of this layout), `sha`, `cpu_count`, `python` and
-  `numpy` (versions of the interpreter running this script, so run it with
-  the one that ran collect.py);
+- `schema` (the version of this layout), `sha`, `cpu_count` and `python`
+  (the version of the interpreter running this script, so run it with the
+  one that ran collect.py);
 - per workload: `runs`, `correct` (runs whose checks all passed),
   `failed` and `attempted` (calls, summed over the runs), and per metric
   its `unit`, `median`, `q1` and `q3` (statistics.quantiles, n=4, as
@@ -35,8 +35,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-import numpy
 
 SCHEMA = 1
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,7 +63,7 @@ def trajectory(results: Path, sha: str) -> dict:
     if not files:
         raise SystemExit(f"no {PREFIX}<workload>{SUFFIX} under {results}")
     return {"schema": SCHEMA, "sha": sha, "cpu_count": os.cpu_count(),
-            "python": platform.python_version(), "numpy": numpy.__version__,
+            "python": platform.python_version(),
             "workloads": {f.name[len(PREFIX):-len(SUFFIX)]:
                           summarize(json.loads(f.read_text()))
                           for f in files}}

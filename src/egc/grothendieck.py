@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache
 from itertools import permutations as iter_permutations
-from typing import TYPE_CHECKING
+from math import prod
 
 from .perms import Permutation, code_shape_flag
 from .ring import (EvaluationPoint, EvaluationError, SparsePoly, field_inv,
@@ -23,10 +23,7 @@ from .shapes import Flag, SkewShape
 from .tableaux import (EnumSpec, Semiring, enumerate_tableaux, tableau_sum,
                        weight_eval)
 
-if TYPE_CHECKING:
-    import numpy as np
-
-ORBIT_PRIME = 2147483647  # 2^31 - 1: orbit-engine products fit in int64
+ORBIT_PRIME = 2147483647  # 2^31 - 1: the gvex suite's prime when p^2 >= 2^63
 
 
 def _dead_below(shape: SkewShape, point: EvaluationPoint) -> int | None:
@@ -145,44 +142,23 @@ def grothendieck_poly(w: Permutation, n: int, point: EvaluationPoint,
 
 # ---------------------------------------------------------------------------
 # Orbit evaluation engine: values of Grothendieck polynomials at one point
-# and all coordinate permutations of it, vectorized over the orbit.  Only
-# this engine uses numpy, so its functions import it on first use.
+# and, lazily, at the coordinate permutations of it that a query reads.
 
 
-def _vec_inv(a: np.ndarray, p: int) -> np.ndarray:
-    """Vectorized modular inverse by binary exponentiation to p-2."""
-    import numpy as np
-    result = np.ones_like(a)
-    base = a % p
-    e = p - 2
-    while e:
-        if e & 1:
-            result = result * base % p
-        base = base * base % p
-        e >>= 1
-    return result
-
-
-ORBIT_MAX_N = 8  # an orbit vector has n! entries: 40,320 at n = 8
+ORBIT_MAX_N = 8  # a node has n! slots: 40,320 at n = 8
 
 
 @lru_cache(maxsize=ORBIT_MAX_N)
-def _orbit_index(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """What every orbit table on n coordinates shares, read-only: the orbit
-    matrix, whose row k is the k-th permutation of range(n) in
-    lexicographic order (row 0 is the identity), and for each i < n-1 the
-    row index map that swaps entries i and i+1."""
-    import numpy as np
+def _orbit_perms(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """What every orbit table on n coordinates shares, read-only: the
+    permutations of range(n) in lexicographic order, whose index is the
+    orbit rank (rank 0 is the identity), and for each i < n-1 the rank map
+    that swaps entries i and i+1."""
     perms = list(iter_permutations(range(n)))
     index = {pm: k for k, pm in enumerate(perms)}
-    partner = tuple(
-        np.array([index[pm[:i] + (pm[i + 1], pm[i]) + pm[i + 2:]]
-                  for pm in perms], dtype=np.intp)
-        for i in range(n - 1))
-    orbit = np.array(perms, dtype=np.int8)
-    for a in (orbit, *partner):
-        a.flags.writeable = False
-    return orbit, partner
+    swap = [[index[pm[:i] + (pm[i + 1], pm[i]) + pm[i + 2:]] for pm in perms]
+            for i in range(n - 1)]
+    return perms, swap
 
 
 def ascent_chain(line: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
@@ -204,25 +180,26 @@ def ascent_chain(line: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
 
 
 class OrbitTable:
-    """Evaluates 𝔊_w(x;y) for w in S_n at the base point xs (and implicitly
-    at every rearrangement of xs), by applying the isobaric recursion
-    pointwise over the orbit.  Requires pairwise distinct xs mod p.
+    """Evaluates 𝔊_w(x;y) for w in S_n at the base point xs (distinct mod
+    p) by the isobaric recursion, run pointwise over the orbit of xs: the
+    entry of rank u is the value at z_i = xs[perms[u][i-1]].
 
     A value is read off the end of w's path in one spanning tree of the
     weak order: the parent of u is u*s_a for u's last ascent a, the root is
-    w_0 with 𝔊_{w_0} the top product, and each edge is one step π_a.  The
-    table keeps the path of its last query, as (one-line, vector) pairs;
-    a new query reuses the longest common prefix with it and steps only
-    along the rest.  Queries sorted by ascent_chain step each node once.
-    Vectors are stored as uint32, which holds every residue since
-    p < 2^31.5; products are taken in int64.
+    w_0 with 𝔊_{w_0} the top product, and each edge is one step π_a, whose
+    slot u is (A(z_{a+1}) F(u) - A(z_a) F(s_a u)) / (z_a - z_{a+1}) for
+    A(z) = 1 + beta*z and the parent's slots F.  A query fills only the
+    slots its own entry reads.  The table keeps the path of its last query
+    and reuses the longest common prefix with it, so queries sorted by
+    ascent_chain compute each entry once; out of that order, the nodes off
+    the shared prefix are dropped and refilled.
 
-    Memory: the n-only data (`_orbit_index`) is shared by every table on n
-    coordinates, (n-1)*n!*8 bytes for the swap maps and n*n! for the orbit
-    matrix.  Each table holds (2n-1)*n!*8 bytes for the per-coordinate
-    factors and inverse differences, n!*4 for 𝔊_{w_0}, and at most
-    n(n-1)/2 path vectors of n!*4 bytes.  At n = 8 that is 2.6 MB shared
-    and at most 9.5 MB per table, so n is limited to ORBIT_MAX_N.
+    Memory: every table on n coordinates shares `_orbit_perms(n)`, n!
+    tuples of n and n-1 lists of n! ranks.  A table holds n×n tables of
+    row factors and inverse differences, and at most 1 + n(n-1)/2 nodes
+    (the root and its path) of n! slots, each empty or one int below p:
+    at most 29 × 40,320 slots at n = ORBIT_MAX_N.  The gvex sweep (n = 7)
+    fills 23,999 path entries and 5,040 roots per point.
     """
 
     def __init__(self, xs: tuple[int, ...], ys: tuple[int, ...],
@@ -231,37 +208,46 @@ class OrbitTable:
         if n > ORBIT_MAX_N:
             raise ValueError(f"orbit table on n={n} coordinates exceeds the "
                              f"limit n <= {ORBIT_MAX_N} (n! entries each)")
-        if prime * prime >= 2**63:
-            raise ValueError(
-                f"prime {prime} too large for int64 orbit arithmetic")
-        if len(set(v % prime for v in xs)) != n:
+        xs = [v % prime for v in xs]
+        if len(set(xs)) != n:
             raise ValueError("orbit evaluation needs distinct x coordinates")
         if len(ys) < n - 1:
             raise ValueError(f"need {n - 1} y values")
-        import numpy as np
         self.n, self.beta, self.prime = n, beta % prime, prime
-        orbit, self.partner = _orbit_index(n)
-        xs_arr = np.array([v % prime for v in xs], dtype=np.int64)
-        X = [xs_arr[orbit[:, i]] for i in range(n)]
-        self.A = [(1 + self.beta * Xi) % prime for Xi in X]
-        self.invdiff = [_vec_inv((X[i] - X[i + 1]) % prime, prime)
-                        for i in range(n - 1)]
-        top = np.ones(len(orbit), dtype=np.int64)
-        for i in range(1, n):
-            for j in range(1, n - i + 1):
-                yv = ys[j - 1] % prime
-                den = (1 + self.beta * yv) % prime
-                if den == 0:
-                    raise EvaluationError("1 + beta*y vanishes in top product")
-                inv = field_inv(den, prime)
-                top = top * ((X[i - 1] - yv) % prime) % prime * inv % prime
-        self.top = top.astype(np.uint32)
-        self._path: list[tuple[tuple[int, ...], np.ndarray]] = []
+        self.perms, self.swap = _orbit_perms(n)
+        self.A = [(1 + self.beta * x) % prime for x in xs]
+        self.invdiff = [[field_inv(x - z, prime) if x != z else 0
+                         for z in xs] for x in xs]
+        dens = [(1 + self.beta * y) % prime for y in ys[:n - 1]]
+        if 0 in dens:
+            raise EvaluationError("1 + beta*y vanishes in top product")
+        scale = [field_inv(d, prime) for d in dens]
+        # rows[i][m] = g_{i+1}(xs[m]), g_i(z) = prod_{j <= n-i} (z - y_j)/d_j
+        self.rows = [[prod((x - y) * c for y, c in zip(ys, scale[:n - 1 - i]))
+                      % prime for x in xs] for i in range(n)]
+        self.root: list[int | None] = [None] * len(self.perms)
+        self._path: list[tuple[tuple[int, ...], int, list[int | None]]] = []
 
-    def _op(self, F: np.ndarray, i: int) -> np.ndarray:
-        G = F[self.partner[i - 1]]
-        num = (self.A[i] * F - self.A[i - 1] * G) % self.prime
-        return (num * self.invdiff[i - 1] % self.prime).astype(F.dtype)
+    def _slots(self, level: int) -> list[int | None]:
+        """The slots of path node `level`: 0 is the root w_0, 1 its child."""
+        return self._path[level - 1][2] if level else self.root
+
+    def _fill(self, level: int, ranks: list[int]) -> None:
+        """Fill the given slots of node `level`: the root's from the row
+        factors, a node's from its parent's, which must hold them."""
+        p, perms, slots = self.prime, self.perms, self._slots(level)
+        if not level:  # 𝔊_{w_0} = prod_i g_i(z_i)
+            rows = self.rows
+            for u in ranks:
+                slots[u] = prod(r[m] for r, m in zip(rows, perms[u])) % p
+            return
+        A, invdiff, F = self.A, self.invdiff, self._slots(level - 1)
+        a = self._path[level - 1][1]
+        swap = self.swap[a - 1]
+        for u in ranks:
+            left, right = perms[u][a - 1], perms[u][a]
+            slots[u] = (A[right] * F[u] - A[left] * F[swap[u]]) \
+                * invdiff[left][right] % p
 
     def value(self, w: Permutation) -> int:
         """𝔊_w evaluated at the base point; w supported in 1..n."""
@@ -273,19 +259,29 @@ class OrbitTable:
         while k < min(len(path), len(chain)) and path[k][0] == chain[k][0]:
             k += 1
         del path[k:]
-        F = path[-1][1] if path else self.top
-        for line, a in chain[k:]:
-            F = self._op(F, a)
-            path.append((line, F))
-        return int(F[0])  # row 0 of the orbit is the base point itself
+        path.extend((line, a, [None] * len(self.perms))
+                    for line, a in chain[k:])
+        # top down, the slots each level lacks; then fill them bottom up
+        lacks, need = [], [0]
+        for level in range(len(path), -1, -1):
+            slots = self._slots(level)
+            if not (need := [u for u in need if slots[u] is None]):
+                break
+            lacks.append((level, need))
+            if level:
+                swap = self.swap[path[level - 1][1] - 1]
+                need = {*need, *(swap[u] for u in need)}
+        for level, ranks in reversed(lacks):
+            self._fill(level, ranks)
+        return self._slots(len(path))[0]  # rank 0 is the base point itself
 
 
 @lru_cache(maxsize=8)
 def _orbit_table(xs, ys, beta, prime):
     """The orbit table of one point, kept for the next w at it: the gvex
-    sweep asks for 3 points and acceptance criterion 8 for 5.  At n = 8
-    the cache holds at most 8 x 9.5 MB of tables plus the 2.6 MB they
-    share (see OrbitTable)."""
+    sweep asks for 3 points and acceptance criterion 8 for 5.  The cache
+    keeps at most 8 tables of at most (1 + n(n-1)/2)·n! slots each (see
+    OrbitTable): 8 × 29 × 40,320 slots at n = 8."""
     return OrbitTable(xs, ys, beta, prime)
 
 

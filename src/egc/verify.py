@@ -276,10 +276,11 @@ def _gvex_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
 
 
 def suite_gvex(cfg: RunConfig) -> dict:
-    if cfg.prime ** 2 >= 2**63:  # the orbit engine multiplies in int64
+    # the orbit engine's old int64 bound, kept so reports keep their bytes
+    if cfg.prime ** 2 >= 2**63:
         cfg = replace(cfg, prime=ORBIT_PRIME)
     # every Grassmannian w_lam with |lam| <= 3 sits inside this sweep; depth
-    # first in the orbit tree, each point's table steps each node once
+    # first in the orbit tree, each point's table computes each entry once
     ws = sorted(all_vexillary(-2, 3), key=lambda w: ascent_chain(
         w.iota(GVEX_P0).one_line(1, GVEX_N)))
     return {**_collect("gvex", _gvex_instance,

@@ -182,7 +182,7 @@ def test_orbit_path_reuse_matches_fresh_tables():
 
 
 def test_orbit_table_large_prime():
-    # residues above 2^31 must survive storage: p^2 < 2^63 < p*2^32
+    # residues above 2^31, whose products pass 2^63
     prime, n = 3037000493, 6
     xs, ys, beta = _orbit_instance(n, prime, 18)
     perms = random.Random(19).sample(
@@ -197,21 +197,38 @@ def test_orbit_table_large_prime():
 def test_orbit_table_guards():
     with pytest.raises(ValueError):
         OrbitTable((1, 1, 2), (3, 4), 1, ORBIT_PRIME)
-    with pytest.raises(ValueError):
-        OrbitTable((1, 2), (3,), 1, DEFAULT_PRIME)  # overflows int64
+    # any prime: the engine multiplies Python ints
+    xs, ys, beta = _orbit_instance(3, DEFAULT_PRIME, 20)
+    perms = list(itertools.permutations(range(1, 4)))
+    expect = _poly_values(perms, xs, ys, beta, DEFAULT_PRIME)
+    table = OrbitTable(xs, ys, beta, DEFAULT_PRIME)
+    for images in perms:
+        assert table.value(Permutation.from_one_line(images, 1)) == \
+            expect[images]
 
 
 @pytest.mark.parametrize("n", [9, 10])
-def test_orbit_table_size_bound(monkeypatch, n):
-    def no_index(n):
-        raise AssertionError("orbit index built past the size bound")
-    monkeypatch.setattr(grothendieck, "_orbit_index", no_index)
+def test_orbit_table_size_bound(n):
+    before = grothendieck._orbit_perms.cache_info()
     with pytest.raises(ValueError, match="exceeds the limit"):
         OrbitTable(tuple(range(1, n + 1)), tuple(range(n - 1)), 1,
                    ORBIT_PRIME)
     pt = EvaluationPoint.make(ORBIT_PRIME, 1, {}, {})
     with pytest.raises(ValueError, match="exceeds the limit"):
         backstable_approx(Permutation.s(1), 0, pt, n=n)
+    # refused before the n-only data is built or looked up
+    assert grothendieck._orbit_perms.cache_info() == before
+
+
+def test_orbit_table_cold_query_at_the_size_bound():
+    # the identity lies deepest in the tree: one query fills every level
+    n = grothendieck.ORBIT_MAX_N
+    xs, ys, beta = _orbit_instance(n, ORBIT_PRIME, 21)
+    table = OrbitTable(xs, ys, beta, ORBIT_PRIME)
+    assert table.value(Permutation.identity()) == 1
+    assert len(table._path) == n * (n - 1) // 2
+    assert all(len(slots) == len(table.root) == 40320
+               for _, _, slots in table._path)
 
 
 def test_orbit_table_cache_bound():

@@ -120,16 +120,21 @@ def test_gvex_sweep_steps_each_tree_node_once(monkeypatch):
             nodes.add(line)
             line = line[:a - 1] + (line[a], line[a - 1]) + line[a + 1:]
     assert len(nodes) == 666
-    steps, op = [], grothendieck.OrbitTable._op
+    filled, fill = {}, grothendieck.OrbitTable._fill
 
-    def counted(self, F, i):
-        steps.append(i)
-        return op(self, F, i)
+    def counted(self, level, ranks):
+        line = self._path[level - 1][0] if level else None
+        filled[line] = filled.get(line, 0) + len(ranks)
+        return fill(self, level, ranks)
 
-    monkeypatch.setattr(grothendieck.OrbitTable, "_op", counted)
+    monkeypatch.setattr(grothendieck.OrbitTable, "_fill", counted)
     grothendieck._orbit_table.cache_clear()  # one new table, empty path
     assert verify_identities("gvex", trials=1)["ok"]
-    assert len(steps) == len(nodes)
+    # only the entries the queries read, each once: a node stepped twice
+    # would refill its slots
+    assert filled.pop(None) == 5040
+    assert set(filled) == nodes
+    assert sum(filled.values()) == 23999
 
 
 def test_suite_ring():
