@@ -183,15 +183,10 @@ LIST_FLAGS = ("--lambda", "--phi", "--rho", "--mu", "--flag", "--word",
 def _join_list_values(argv: list[str]) -> list[str]:
     """Fold "--phi -1,0,2" into "--phi=-1,0,2" so values that start with a
     minus sign survive option parsing."""
-    out, skip = [], False
-    for k, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in LIST_FLAGS and k + 1 < len(argv) \
-                and argv[k + 1].startswith("-"):
-            out.append(f"{tok}={argv[k + 1]}")
-            skip = True
+    out = []
+    for tok in argv:
+        if out and out[-1] in LIST_FLAGS and tok.startswith("-"):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out

@@ -30,7 +30,7 @@ from .ring import (EvaluationPoint, GrahamSum, add_terms, code_factor,
                    factor_code, mul_terms, omega1_factor)
 from .shapes import (Flag, Partition, SkewShape, compatible_form, delta_seq,
                      disconnected_inners, flag_split, is_compatible, q_of,
-                     skew_props, xi_flag)
+                     skew_props, subpartitions, xi_flag)
 from .tableaux import EnumSpec, Semiring, tableau_sum
 
 
@@ -131,14 +131,23 @@ class PipelineContext:
 
 
 @lru_cache(maxsize=64)
-def build_context(lam: Partition, phi: Flag, rho: Partition) -> PipelineContext:
-    """The one record of a coefficient input: a flag incompatible with lam
-    raises ValueError, and rho outside lam is structurally zero.  Else nu
-    is the only middle partition the coefficient can factor through, and
-    both routes on the triple read nu and xi from this cached record."""
+def flag_record(lam: Partition, phi: Flag) -> tuple[int, Flag, Flag, str]:
+    """build_context's decisions on (lam, phi) alone, made once per pair:
+    an incompatible flag raises ValueError; else (q, phi_-, phi_+, case)."""
     if not is_compatible(lam, phi):
         raise ValueError(f"flag {phi} not compatible with {lam}")
     q = q_of(lam)
+    sign = q and phi.entry(q)  # q = 0 only for the empty lam
+    return (q, *flag_split(phi), "both" if sign == 0 else
+            "nonpositive" if sign < 0 else "nonnegative")
+
+
+@lru_cache(maxsize=64)
+def build_context(lam: Partition, phi: Flag, rho: Partition) -> PipelineContext:
+    """The one record of a coefficient input: flag_record(lam, phi), then
+    rho's part: a structural zero (rho outside lam among them), else nu, the
+    one middle partition, and xi, which both routes read from this cache."""
+    q, phi_minus, phi_plus, case = flag_record(lam, phi)
     props = skew_props(lam.parts, rho.parts) if lam.contains(rho) else None
     if props is None or props.has_diagonal_cell or \
             any(phi.entry(r) == 0 for r in props.rows_occupied):
@@ -147,19 +156,19 @@ def build_context(lam: Partition, phi: Flag, rho: Partition) -> PipelineContext:
                          for r in range(1, len(lam) + 1)))
     if not (nu.contains(rho) and lam.contains(nu)):
         raise RuntimeError(f"nu {nu} not between rho {rho} and lambda {lam}")
-    phi_minus, phi_plus = flag_split(phi)
     phi_minus = Flag(phi_minus.bounds[:len(nu)])
     if not is_compatible(nu, phi_minus):
         raise RuntimeError(f"flag {phi_minus} not compatible with nu {nu}")
-    if q == 0 or phi.entry(q) == 0:
-        case = "both"
-    elif phi.entry(q) < 0:
-        case = "nonpositive"
-    else:
-        case = "nonnegative"
     return PipelineContext(q, nu, case, (lam, phi_plus, nu),
                            (nu.conjugate(), xi_flag(nu, phi_minus),
                             rho.conjugate()))
+
+
+def contexts(lam: Partition, phi: Flag):
+    """(rho, build_context(lam, phi, rho)) for every rho <= lam in
+    subpartitions order; an incompatible flag is refused before any rho."""
+    flag_record(lam, phi)
+    return ((rho, build_context(lam, phi, rho)) for rho in subpartitions(lam))
 
 
 def unique_nu(lam: Partition, phi: Flag, rho: Partition) -> Partition | None:

@@ -298,14 +298,9 @@ def flags_equivalent(lam: Partition, phi1: Flag, phi2: Flag) -> bool:
 
 def compatible_flags(lam: Partition, lo: int, hi: int):
     """All flags compatible with lam whose entries lie in [lo, hi]."""
-    ell = len(lam)
-    if ell == 0:
-        yield Flag()
-        return
-
     def extend(prefix):
         i = len(prefix)
-        if i == ell:
+        if i == len(lam):
             yield Flag(prefix)
             return
         lower = prefix[-1] if prefix else lo

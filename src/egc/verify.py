@@ -21,7 +21,8 @@ from operator import le
 from .grothendieck import (ORBIT_PRIME, ascent_chain, field_sum, g_eval,
                            grothendieck_poly, gvex_checker)
 from .perms import Permutation
-from .pipeline import j_coefficient, j_numeric, j_plus_numeric, pi_chain
+from .pipeline import (contexts, j_coefficient, j_numeric, j_plus_numeric,
+                       pi_chain)
 from .ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, code_factor,
                    eval_graham, factor_type, is_prime, isobaric,
                    omega1_factor, prec, sample_point)
@@ -305,7 +306,7 @@ def _theorem_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
     yhi = max([1] + list(phi.bounds)) + lam.part(1) + 1
     points = [sample_point(prime, rng, (), range(ylo, yhi))
               for _ in range(cfg.trials)]
-    for rho in subpartitions(lam):
+    for rho, _ in contexts(lam, phi):  # each rho's routes, zeros included
         rkey = f"{key} rho={rho.parts}"
         j = j_coefficient(lam, phi, rho)
         if j.beta_exp != 0:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from egc import pipeline
 from egc.grothendieck import g_eval
 from egc.perms import Permutation, code_shape_flag
-from egc.pipeline import (build_context, half_sum, j_coefficient, j_minus,
-                          j_numeric, j_of_permutation, j_plus, pi_chain,
-                          unique_nu)
+from egc.pipeline import (build_context, contexts, flag_record, half_sum,
+                          j_coefficient, j_minus, j_numeric,
+                          j_of_permutation, j_plus, pi_chain, unique_nu)
 from egc.ring import (DEFAULT_PRIME, GrahamMonomial, GrahamSum, add_terms,
                       eval_graham, factor_code, mul_terms, omega1_factor,
                       sample_point)
@@ -122,8 +122,7 @@ def test_j_plus_matches_sum_over_inner_shapes():
     halves = set()
     for lam in partitions_up_to(5):
         for phi in compatible_flags(lam, -3, 3):
-            for rho in subpartitions(lam):
-                ctx = build_context(lam, phi, rho)
+            for _, ctx in contexts(lam, phi):
                 if ctx.nu is not None:
                     halves |= {ctx.upper, ctx.lower}
     assert (len(triples), len(halves)) == (1974, 801)
@@ -149,8 +148,7 @@ def test_j_minus_is_omega1_of_j_plus_on_every_lower_half():
     j_plus's sum with each factor mapped by omega1_factor."""
     lowers = {ctx.lower for lam in partitions_up_to(4)
               for phi in compatible_flags(lam, -3, 3)
-              for rho in subpartitions(lam)
-              if (ctx := build_context(lam, phi, rho)).nu is not None}
+              for _, ctx in contexts(lam, phi) if ctx.nu is not None}
     assert len(lowers) == 186
     for half in lowers:
         inner = j_plus(*half)
@@ -204,7 +202,7 @@ def test_theorem_sweep_nonpositive_flags():
     for parts in ((5, 3), (5, 3, 1)):
         lam = Partition(parts)
         for phi in compatible_flags(lam, -5, 0):
-            for rho in subpartitions(lam):
+            for rho, _ in contexts(lam, phi):
                 instances += 1
                 if not _agrees_with_numeric(lam, phi, rho, rng):
                     wrong += 1
@@ -244,26 +242,39 @@ def test_incompatible_flag_refused_even_when_rho_not_contained():
 
 
 def test_theorem_suite_derives_nu_and_xi_once_per_triple(monkeypatch):
-    contexts: dict[tuple, object] = {}
-    xi_calls = 0
-    real_context, real_xi = pipeline.build_context, pipeline.xi_flag
+    """The theorem suite decides each (λ, φ) once: is_compatible(λ, φ)
+    runs in flag_record, once per instance, and otherwise only as the one
+    per-ρ check of (ν, φ₋); ν and ξ are derived once per (λ, φ, ρ)."""
+    records: dict[tuple, object] = {}
+    calls = {"xi": 0, "compatible": 0}
+    real_context, real_xi, real_compatible = \
+        pipeline.build_context, pipeline.xi_flag, pipeline.is_compatible
 
     def context(lam, phi, rho):
-        contexts[lam, phi, rho] = real_context(lam, phi, rho)
-        return contexts[lam, phi, rho]
+        records[lam, phi, rho] = real_context(lam, phi, rho)
+        return records[lam, phi, rho]
 
-    def xi(nu, phi_minus):
-        nonlocal xi_calls
-        xi_calls += 1
-        return real_xi(nu, phi_minus)
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
 
+    flag_record.cache_clear()
     build_context.cache_clear()
     monkeypatch.setattr(pipeline, "build_context", context)
-    monkeypatch.setattr(pipeline, "xi_flag", xi)
+    monkeypatch.setattr(pipeline, "xi_flag", counted("xi", real_xi))
+    monkeypatch.setattr(pipeline, "is_compatible",
+                        counted("compatible", real_compatible))
     report = verify_identities("theorem", max_size=3, trials=3)
-    assert report["ok"] and contexts
-    assert real_context.cache_info().misses == len(contexts)
-    assert xi_calls == sum(1 for c in contexts.values() if c.nu is not None)
+    assert report["ok"] and records
+    instances = {(lam, phi) for lam, phi, _ in records}
+    nonzero = sum(1 for c in records.values() if c.nu is not None)
+    assert flag_record.cache_info().misses == len(instances) \
+        == report["instances"]
+    assert calls["compatible"] == len(instances) + nonzero
+    assert real_context.cache_info().misses == len(records)
+    assert calls["xi"] == nonzero
 
 
 def test_theorem_suite_derives_each_pi_chain_once(monkeypatch):
@@ -375,8 +386,7 @@ def test_shared_memo_matches_fresh_calls():
     calls = 0
     for lam in partitions_up_to(3):
         for phi in compatible_flags(lam, -2, 2):
-            for rho in subpartitions(lam):
-                ctx = build_context(lam, phi, rho)
+            for _, ctx in contexts(lam, phi):
                 if ctx.nu is None:
                     continue
                 for half, args in ((j_plus, ctx.upper), (j_minus, ctx.lower)):
@@ -394,8 +404,7 @@ def test_half_caches_stay_bounded():
     uppers, lowers = set(), set()
     for lam in partitions_up_to(4):
         for phi in compatible_flags(lam, -3, 3):
-            for rho in subpartitions(lam):
-                ctx = build_context(lam, phi, rho)
+            for rho, ctx in contexts(lam, phi):
                 if ctx.nu is not None:
                     j_coefficient(lam, phi, rho)
                     uppers.add(ctx.upper)

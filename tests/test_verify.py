@@ -9,7 +9,7 @@ import pytest
 from egc import grothendieck, pipeline, ring, verify
 from egc.cli import main
 from egc.grothendieck import ORBIT_PRIME
-from egc.pipeline import build_context
+from egc.pipeline import contexts
 from egc.ring import DEFAULT_PRIME, EvaluationPoint, GrahamSum, factor_code
 from egc.shapes import (Flag, Partition, SkewShape, compatible_flags,
                         diagonal_split, subpartitions)
@@ -294,8 +294,7 @@ def test_theorem_computes_each_half_once():
                              flag_range=(-2, 2))["ok"]
     uppers, lowers = set(), set()
     for lam, bounds in verify._pairs(3, -2, 2):
-        for rho in subpartitions(Partition(lam)):
-            ctx = build_context(Partition(lam), Flag(bounds), rho)
+        for _, ctx in contexts(Partition(lam), Flag(bounds)):
             if ctx.nu is not None:
                 uppers.add(ctx.upper)
                 lowers.add(ctx.lower)
