@@ -15,18 +15,18 @@ import json
 import sys
 from pathlib import Path
 
-from egc.grothendieck import (ORBIT_PRIME, backstable_approx, default_window,
-                              g_eval)
+from egc.grothendieck import backstable_approx, default_window, g_eval
 from egc.perms import code_shape_flag
 from egc.shapes import SkewShape
 from egc.verify import GVEX_N, GVEX_P0, all_vexillary, gvex_points
 
+PRIME = 2147483647  # 2^31 - 1, the prime the committed fixture is written at
 SEED = 0
 TRIALS = 5
 
 
 def main(out_path: Path) -> None:
-    points = gvex_points(ORBIT_PRIME, SEED, TRIALS)
+    points = gvex_points(PRIME, SEED, TRIALS)
     records = []
     for w in all_vexillary(-2, 3):
         csf = code_shape_flag(w)
@@ -52,7 +52,7 @@ def main(out_path: Path) -> None:
             "values": values,
         })
     payload = {
-        "prime": ORBIT_PRIME,
+        "prime": PRIME,
         "seed": SEED,
         "n": GVEX_N,
         "points": [{"beta": pt.beta,

@@ -23,8 +23,6 @@ from .shapes import Flag, SkewShape
 from .tableaux import (EnumSpec, Semiring, enumerate_tableaux, tableau_sum,
                        weight_eval)
 
-ORBIT_PRIME = 2147483647  # 2^31 - 1: the gvex suite's prime when p^2 >= 2^63
-
 
 def _dead_below(shape: SkewShape, point: EvaluationPoint) -> int | None:
     """Largest v0 such that every value < v0 contributes only zero factors.
@@ -189,10 +187,11 @@ class OrbitTable:
     w_0 with 𝔊_{w_0} the top product, and each edge is one step π_a, whose
     slot u is (A(z_{a+1}) F(u) - A(z_a) F(s_a u)) / (z_a - z_{a+1}) for
     A(z) = 1 + beta*z and the parent's slots F.  A query fills only the
-    slots its own entry reads.  The table keeps the path of its last query
-    and reuses the longest common prefix with it, so queries sorted by
-    ascent_chain compute each entry once; out of that order, the nodes off
-    the shared prefix are dropped and refilled.
+    slots its own entry reads.  A query passes w's path, its ascent_chain
+    on 1..n.  The table keeps the path of its last query and reuses the
+    longest common prefix with it, so queries sorted by ascent_chain
+    compute each entry once; out of that order, the nodes off the shared
+    prefix are dropped and refilled.
 
     Memory: every table on n coordinates shares `_orbit_perms(n)`, n!
     tuples of n and n-1 lists of n! ranks.  A table holds n×n tables of
@@ -249,11 +248,11 @@ class OrbitTable:
             slots[u] = (A[right] * F[u] - A[left] * F[swap[u]]) \
                 * invdiff[left][right] % p
 
-    def value(self, w: Permutation) -> int:
-        """𝔊_w evaluated at the base point; w supported in 1..n."""
-        if w.images and not (1 <= w.lo and w.window_hi <= self.n):
-            raise ValueError(f"permutation {w} not supported in 1..{self.n}")
-        chain = ascent_chain(w.one_line(1, self.n))
+    def value(self, chain: list[tuple[tuple[int, ...], int]]) -> int:
+        """𝔊_w evaluated at the base point, for chain = the ascent_chain of
+        w's one-line notation on 1..n."""
+        if any(len(line) != self.n for line, _ in chain):
+            raise ValueError(f"ascent chain not on {self.n} coordinates")
         path = self._path
         k = 0
         while k < min(len(path), len(chain)) and path[k][0] == chain[k][0]:
@@ -303,10 +302,9 @@ def _ambient(w: Permutation, p: int, n: int | None):
     return w2, n
 
 
-def _shifted(w: Permutation, p: int, point: EvaluationPoint, n: int | None):
-    """Both routes' prelude: iota^p(w), x_{1-p..n-p} and y_{1-p..n-1-p}."""
-    w2, n = _ambient(w, p, n)
-    return (w2, tuple(point.x_val(i - p) for i in range(1, n + 1)),
+def _shifted(p: int, point: EvaluationPoint, n: int):
+    """The ambient variables at the point: x_{1-p..n-p} and y_{1-p..n-1-p}."""
+    return (tuple(point.x_val(i - p) for i in range(1, n + 1)),
             tuple(point.y_val(j - p) for j in range(1, n)))
 
 
@@ -315,15 +313,18 @@ def backstable_approx(w: Permutation, p: int, point: EvaluationPoint,
     """Evaluate the shifted polynomial gamma^{-p} 𝔊_{iota^p(w)} at the point
     by the orbit engine (distinct x values, n <= ORBIT_MAX_N): x_i and y_j of
     the ambient polynomial read the point at index i-p, j-p."""
-    w2, xs, ys = _shifted(w, p, point, n)
-    return _orbit_table(xs, ys, point.beta, point.prime).value(w2)
+    w2, n = _ambient(w, p, n)
+    xs, ys = _shifted(p, point, n)
+    return _orbit_table(xs, ys, point.beta, point.prime).value(
+        ascent_chain(w2.one_line(1, n)))
 
 
 def backstable_poly(w: Permutation, p: int, point: EvaluationPoint,
                     n: int | None = None) -> int:
     """backstable_approx's value by expanding the divided-difference
     polynomial: any prime, repeated x values allowed."""
-    w2, xs, ys = _shifted(w, p, point, n)
+    w2, n = _ambient(w, p, n)
+    xs, ys = _shifted(p, point, n)
     shifted = EvaluationPoint.make(point.prime, point.beta, {},
                                    dict(enumerate(ys, 1)))
     return grothendieck_poly(w2, len(xs), shifted).evaluate(xs)
@@ -331,24 +332,26 @@ def backstable_poly(w: Permutation, p: int, point: EvaluationPoint,
 
 def gvex_checker(w: Permutation, p: int = 0, n: int | None = None
                  ) -> Callable[[EvaluationPoint], bool]:
-    """A check of backstable_approx of 𝔊_w against the flagged tableau sum
-    for (shape(w), flag(w)) under the same specialization.  w's shape, flag
-    and support are read once, and the returned function compares at one
-    point.
+    """A check of 𝔊_w's backstable approximation, backstable_approx's value,
+    against the flagged tableau sum for (shape(w), flag(w)) under the same
+    specialization.  w's shape, flag, support and ascent chain are read
+    once, and the returned function compares at one point.
 
     Heuristic at finite p: the point's x-support must lie inside the index
     range the shifted polynomial can see, [1-p, n-p]."""
     csf = code_shape_flag(w)  # raises ValueError unless w is vexillary
     shape, flag = SkewShape(csf.shape), csf.flag
-    n = _ambient(w, p, n)[1]
+    w2, n = _ambient(w, p, n)
+    chain = ascent_chain(w2.one_line(1, n))
 
     def check(point: EvaluationPoint) -> bool:
         if point.x_support and min(point.x_support) < 1 - p:
             raise ValueError(f"x-support extends below 1-p = {1 - p}")
         if point.x_support and max(point.x_support) > n - p:
             raise ValueError(f"x-support extends above n-p = {n - p}")
-        return backstable_approx(w, p, point, n) == \
-            g_eval(shape, flag, "any", point)
+        xs, ys = _shifted(p, point, n)
+        return _orbit_table(xs, ys, point.beta, point.prime).value(chain) \
+            == g_eval(shape, flag, "any", point)
 
     return check
 

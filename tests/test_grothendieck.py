@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egc import grothendieck
-from egc.grothendieck import (ORBIT_PRIME, OrbitTable, backstable_approx,
+from egc.grothendieck import (OrbitTable, ascent_chain, backstable_approx,
                               backstable_poly, default_window, enum_sum,
                               field_sum, g_eval, grothendieck_poly,
                               gvex_checker)
@@ -21,6 +21,7 @@ from egc.tableaux import EnumSpec
 from egc.verify import all_vexillary, partitions_up_to
 
 P = DEFAULT_PRIME
+ORBIT_PRIME = 2147483647  # 2^31 - 1, a second prime for the orbit tests
 
 
 def test_empty_shape_is_one():
@@ -165,8 +166,7 @@ def test_orbit_table_matches_poly():
     expect = _poly_values(perms, xs, ys, beta, ORBIT_PRIME)
     table = OrbitTable(xs, ys, beta, ORBIT_PRIME)
     for images in perms + perms[::-1]:  # the path grows, then unwinds
-        assert table.value(Permutation.from_one_line(images, 1)) == \
-            expect[images]
+        assert table.value(ascent_chain(images)) == expect[images]
 
 
 def test_orbit_path_reuse_matches_fresh_tables():
@@ -176,8 +176,9 @@ def test_orbit_path_reuse_matches_fresh_tables():
     random.Random(17).shuffle(perms)
     table = OrbitTable(xs, ys, beta, ORBIT_PRIME)
     for images in perms:
-        w = Permutation.from_one_line(images, 1)
-        assert table.value(w) == OrbitTable(xs, ys, beta, ORBIT_PRIME).value(w)
+        chain = ascent_chain(images)
+        assert table.value(chain) == \
+            OrbitTable(xs, ys, beta, ORBIT_PRIME).value(chain)
         assert len(table._path) <= n * (n - 1) // 2
 
 
@@ -190,8 +191,7 @@ def test_orbit_table_large_prime():
     expect = _poly_values(perms, xs, ys, beta, prime)
     table = OrbitTable(xs, ys, beta, prime)
     for images in perms:
-        assert table.value(Permutation.from_one_line(images, 1)) == \
-            expect[images]
+        assert table.value(ascent_chain(images)) == expect[images]
 
 
 def test_orbit_table_guards():
@@ -203,8 +203,10 @@ def test_orbit_table_guards():
     expect = _poly_values(perms, xs, ys, beta, DEFAULT_PRIME)
     table = OrbitTable(xs, ys, beta, DEFAULT_PRIME)
     for images in perms:
-        assert table.value(Permutation.from_one_line(images, 1)) == \
-            expect[images]
+        assert table.value(ascent_chain(images)) == expect[images]
+    # a path must run on the table's n coordinates
+    with pytest.raises(ValueError, match="not on 3 coordinates"):
+        table.value(ascent_chain((2, 1, 4, 3)))
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -225,7 +227,7 @@ def test_orbit_table_cold_query_at_the_size_bound():
     n = grothendieck.ORBIT_MAX_N
     xs, ys, beta = _orbit_instance(n, ORBIT_PRIME, 21)
     table = OrbitTable(xs, ys, beta, ORBIT_PRIME)
-    assert table.value(Permutation.identity()) == 1
+    assert table.value(ascent_chain(tuple(range(1, n + 1)))) == 1
     assert len(table._path) == n * (n - 1) // 2
     assert all(len(slots) == len(table.root) == 40320
                for _, _, slots in table._path)

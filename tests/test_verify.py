@@ -8,7 +8,6 @@ import pytest
 
 from egc import grothendieck, pipeline, ring, verify
 from egc.cli import main
-from egc.grothendieck import ORBIT_PRIME
 from egc.pipeline import contexts
 from egc.ring import DEFAULT_PRIME, EvaluationPoint, GrahamSum, factor_code
 from egc.shapes import (Flag, Partition, SkewShape, compatible_flags,
@@ -93,20 +92,33 @@ def test_all_vexillary_small():
 
 
 def test_gvex_sweep_visits_each_vexillary_w_once(monkeypatch):
-    seen = []
+    seen, chains = [], []
+    real_instance, real_chain = verify._gvex_instance, verify.ascent_chain
 
     def record(cfg, inst):
         seen.append((inst, cfg.prime))
-        return 0, []
+        return real_instance(cfg, inst)
+
+    def chain(line):
+        chains.append(line)
+        return real_chain(line)
 
     monkeypatch.setattr(verify, "_gvex_instance", record)
+    monkeypatch.setattr(verify, "ascent_chain", chain)
+    monkeypatch.setattr(grothendieck, "ascent_chain", chain)
     ws = sorted((w.images, w.lo) for w in all_vexillary(-2, 3))
-    for prime, used in ((DEFAULT_PRIME, ORBIT_PRIME), (1000003, 1000003)):
+    for prime in (DEFAULT_PRIME, 1000003):
         seen.clear()
-        assert verify_identities("gvex", prime=prime)["prime"] == used
+        chains.clear()
+        report = verify_identities("gvex", prime=prime, trials=3)
+        # each w's path is derived once for the sort and once for its
+        # points, however many points there are
+        assert len(chains) == 2 * 513
+        assert report["prime"] == prime and report["ok"]
+        assert (report["instances"], report["checks"]) == (513, 1539)
         assert len(seen) == len(ws) == 513
         assert sorted(inst for inst, _ in seen) == ws
-        assert {p for _, p in seen} == {used}
+        assert {p for _, p in seen} == {prime}
 
 
 def test_gvex_sweep_steps_each_tree_node_once(monkeypatch):
@@ -388,7 +400,7 @@ def test_suite_exception_becomes_failure(monkeypatch, suite):
     """An exception in one unit of each other suite is that unit's
     failure: the other units still run, serially and in a pool alike.
     The injection raises from the unit's random stream, for gvex from its
-    checker (whose ValueError the unit reports itself)."""
+    checker."""
     options = {"max_size": 3, "trials": 1}
     cfg = RunConfig(**options)
     lam_21 = [(lam, phi) for lam, phi in verify._pairs(3, -2, 3)
