@@ -1,6 +1,6 @@
 """Windowed evaluation of (flagged, skew, double) stable beta-Grothendieck
-functions, divided-difference Grothendieck polynomials, and the backstable
-comparison checks.
+functions, divided-difference Grothendieck polynomials, and their backstable
+approximation.
 
 Each value has two independent routes, one function each.  g_eval sums by
 `field_sum`, the F_p transfer DP of tableaux.tableau_sum that the symbolic
@@ -11,7 +11,6 @@ The backstable approximation is read off the orbit engine by
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from functools import lru_cache
 from itertools import permutations as iter_permutations
 from math import prod
@@ -159,22 +158,17 @@ def _orbit_perms(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     return perms, swap
 
 
-def ascent_chain(line: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+def ascent_word(line: tuple[int, ...]) -> tuple[int, ...]:
     """The path from w_0 down to u = line in the last-ascent tree of the
-    weak order, as (one-line of the node, letter a) pairs from w_0's child
-    to u.  The parent of a node v is v*s_a for v's last ascent a, and
-    𝔊_v = π_a 𝔊_{v*s_a}.  As a sort key, it orders the tree depth
-    first."""
-    chain = []
-    while True:
-        a = next((a for a in range(len(line) - 1, 0, -1)
-                  if line[a - 1] < line[a]), 0)
-        if not a:
-            break
-        chain.append((line, a))
+    weak order, as its letters a from w_0's child to u.  The parent of a
+    node v is v*s_a for v's last ascent a, and 𝔊_v = π_a 𝔊_{v*s_a}, so the
+    letters name the path.  Lexicographic order on words is depth first."""
+    word = []
+    while a := next((a for a in range(len(line) - 1, 0, -1)
+                     if line[a - 1] < line[a]), 0):
+        word.append(a)
         line = line[:a - 1] + (line[a], line[a - 1]) + line[a + 1:]
-    chain.reverse()
-    return chain
+    return tuple(reversed(word))
 
 
 class OrbitTable:
@@ -187,18 +181,21 @@ class OrbitTable:
     w_0 with 𝔊_{w_0} the top product, and each edge is one step π_a, whose
     slot u is (A(z_{a+1}) F(u) - A(z_a) F(s_a u)) / (z_a - z_{a+1}) for
     A(z) = 1 + beta*z and the parent's slots F.  A query fills only the
-    slots its own entry reads.  A query passes w's path, its ascent_chain
-    on 1..n.  The table keeps the path of its last query and reuses the
-    longest common prefix with it, so queries sorted by ascent_chain
-    compute each entry once; out of that order, the nodes off the shared
-    prefix are dropped and refilled.
+    slots its own entry reads.  A query passes w's path as its letters, the
+    ascent_word of w on 1..n.  The table keeps the path of its last query
+    and reuses the longest common prefix with it, so queries in
+    lexicographic order of their words compute each entry once; out of
+    that order, the nodes off the shared prefix are dropped and refilled.
 
     Memory: every table on n coordinates shares `_orbit_perms(n)`, n!
     tuples of n and n-1 lists of n! ranks.  A table holds n×n tables of
     row factors and inverse differences, and at most 1 + n(n-1)/2 nodes
     (the root and its path) of n! slots, each empty or one int below p:
     at most 29 × 40,320 slots at n = ORBIT_MAX_N.  The gvex sweep (n = 7)
-    fills 23,999 path entries and 5,040 roots per point.
+    fills 23,999 path entries and 5,040 roots per point and holds one
+    table at a time: at most 22 nodes of 5,040 slots, 1.2 MB when every w
+    is asked and 1.7 MB at the peak (tracemalloc, CPython 3.11), beside
+    the 0.9 MB that `_orbit_perms(7)` shares.
     """
 
     def __init__(self, xs: tuple[int, ...], ys: tuple[int, ...],
@@ -225,11 +222,11 @@ class OrbitTable:
         self.rows = [[prod((x - y) * c for y, c in zip(ys, scale[:n - 1 - i]))
                       % prime for x in xs] for i in range(n)]
         self.root: list[int | None] = [None] * len(self.perms)
-        self._path: list[tuple[tuple[int, ...], int, list[int | None]]] = []
+        self._path: list[tuple[int, list[int | None]]] = []  # (a, slots)
 
     def _slots(self, level: int) -> list[int | None]:
         """The slots of path node `level`: 0 is the root w_0, 1 its child."""
-        return self._path[level - 1][2] if level else self.root
+        return self._path[level - 1][1] if level else self.root
 
     def _fill(self, level: int, ranks: list[int]) -> None:
         """Fill the given slots of node `level`: the root's from the row
@@ -241,25 +238,24 @@ class OrbitTable:
                 slots[u] = prod(r[m] for r, m in zip(rows, perms[u])) % p
             return
         A, invdiff, F = self.A, self.invdiff, self._slots(level - 1)
-        a = self._path[level - 1][1]
+        a = self._path[level - 1][0]
         swap = self.swap[a - 1]
         for u in ranks:
             left, right = perms[u][a - 1], perms[u][a]
             slots[u] = (A[right] * F[u] - A[left] * F[swap[u]]) \
                 * invdiff[left][right] % p
 
-    def value(self, chain: list[tuple[tuple[int, ...], int]]) -> int:
-        """𝔊_w evaluated at the base point, for chain = the ascent_chain of
+    def value(self, word: tuple[int, ...]) -> int:
+        """𝔊_w evaluated at the base point, for word = the ascent_word of
         w's one-line notation on 1..n."""
-        if any(len(line) != self.n for line, _ in chain):
-            raise ValueError(f"ascent chain not on {self.n} coordinates")
+        if not all(0 < a < self.n for a in word):
+            raise ValueError(f"word {word} not on {self.n} coordinates")
         path = self._path
         k = 0
-        while k < min(len(path), len(chain)) and path[k][0] == chain[k][0]:
+        while k < min(len(path), len(word)) and path[k][0] == word[k]:
             k += 1
         del path[k:]
-        path.extend((line, a, [None] * len(self.perms))
-                    for line, a in chain[k:])
+        path.extend((a, [None] * len(self.perms)) for a in word[k:])
         # top down, the slots each level lacks; then fill them bottom up
         lacks, need = [], [0]
         for level in range(len(path), -1, -1):
@@ -268,7 +264,7 @@ class OrbitTable:
                 break
             lacks.append((level, need))
             if level:
-                swap = self.swap[path[level - 1][1] - 1]
+                swap = self.swap[path[level - 1][0] - 1]
                 need = {*need, *(swap[u] for u in need)}
         for level, ranks in reversed(lacks):
             self._fill(level, ranks)
@@ -277,15 +273,17 @@ class OrbitTable:
 
 @lru_cache(maxsize=8)
 def _orbit_table(xs, ys, beta, prime):
-    """The orbit table of one point, kept for the next w at it: the gvex
-    sweep asks for 3 points and acceptance criterion 8 for 5.  The cache
-    keeps at most 8 tables of at most (1 + n(n-1)/2)·n! slots each (see
-    OrbitTable): 8 × 29 × 40,320 slots at n = 8."""
+    """The orbit table of one point, kept for the next w at it.  Only
+    backstable_approx reads this cache: acceptance criterion 8 asks for its
+    5 points w by w.  The gvex sweep builds one table per point itself and
+    drops it when the point is done.  The cache keeps at most 8 tables of
+    at most (1 + n(n-1)/2)·n! slots each (see OrbitTable): 8 × 29 × 40,320
+    slots at n = 8."""
     return OrbitTable(xs, ys, beta, prime)
 
 
 # ---------------------------------------------------------------------------
-# Backstable approximation and the vexillary comparison
+# Backstable approximation
 
 
 def _ambient(w: Permutation, p: int, n: int | None):
@@ -302,7 +300,7 @@ def _ambient(w: Permutation, p: int, n: int | None):
     return w2, n
 
 
-def _shifted(p: int, point: EvaluationPoint, n: int):
+def shifted_coords(p: int, point: EvaluationPoint, n: int):
     """The ambient variables at the point: x_{1-p..n-p} and y_{1-p..n-1-p}."""
     return (tuple(point.x_val(i - p) for i in range(1, n + 1)),
             tuple(point.y_val(j - p) for j in range(1, n)))
@@ -314,9 +312,9 @@ def backstable_approx(w: Permutation, p: int, point: EvaluationPoint,
     by the orbit engine (distinct x values, n <= ORBIT_MAX_N): x_i and y_j of
     the ambient polynomial read the point at index i-p, j-p."""
     w2, n = _ambient(w, p, n)
-    xs, ys = _shifted(p, point, n)
+    xs, ys = shifted_coords(p, point, n)
     return _orbit_table(xs, ys, point.beta, point.prime).value(
-        ascent_chain(w2.one_line(1, n)))
+        ascent_word(w2.one_line(1, n)))
 
 
 def backstable_poly(w: Permutation, p: int, point: EvaluationPoint,
@@ -324,34 +322,21 @@ def backstable_poly(w: Permutation, p: int, point: EvaluationPoint,
     """backstable_approx's value by expanding the divided-difference
     polynomial: any prime, repeated x values allowed."""
     w2, n = _ambient(w, p, n)
-    xs, ys = _shifted(p, point, n)
+    xs, ys = shifted_coords(p, point, n)
     shifted = EvaluationPoint.make(point.prime, point.beta, {},
                                    dict(enumerate(ys, 1)))
     return grothendieck_poly(w2, len(xs), shifted).evaluate(xs)
 
 
-def gvex_checker(w: Permutation, p: int = 0, n: int | None = None
-                 ) -> Callable[[EvaluationPoint], bool]:
-    """A check of 𝔊_w's backstable approximation, backstable_approx's value,
-    against the flagged tableau sum for (shape(w), flag(w)) under the same
-    specialization.  w's shape, flag, support and ascent chain are read
-    once, and the returned function compares at one point.
-
-    Heuristic at finite p: the point's x-support must lie inside the index
-    range the shifted polynomial can see, [1-p, n-p]."""
-    csf = code_shape_flag(w)  # raises ValueError unless w is vexillary
-    shape, flag = SkewShape(csf.shape), csf.flag
+def gvex_record(w: Permutation, p: int, n: int
+                ) -> tuple[tuple[int, ...], SkewShape, Flag]:
+    """What the vexillary comparison reads of w: the ascent_word of
+    iota^p(w) on 1..n, and shape(w) and flag(w).  The backstable
+    approximation, an orbit table's value at the word, must equal the
+    flagged tableau sum g_eval(shape, flag, "any", point) at each point
+    whose x-support lies in [1-p, n-p], the range the shifted polynomial
+    sees.  Raises ValueError unless w is vexillary and iota^p(w) lies in
+    1..n."""
+    csf = code_shape_flag(w)
     w2, n = _ambient(w, p, n)
-    chain = ascent_chain(w2.one_line(1, n))
-
-    def check(point: EvaluationPoint) -> bool:
-        if point.x_support and min(point.x_support) < 1 - p:
-            raise ValueError(f"x-support extends below 1-p = {1 - p}")
-        if point.x_support and max(point.x_support) > n - p:
-            raise ValueError(f"x-support extends above n-p = {n - p}")
-        xs, ys = _shifted(p, point, n)
-        return _orbit_table(xs, ys, point.beta, point.prime).value(chain) \
-            == g_eval(shape, flag, "any", point)
-
-    return check
-
+    return ascent_word(w2.one_line(1, n)), SkewShape(csf.shape), csf.flag

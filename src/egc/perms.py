@@ -8,6 +8,7 @@ containing the support, so structural equality is semantic equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations as iter_permutations
 
 from .shapes import Flag, Partition, conjugate_parts
 
@@ -185,3 +186,11 @@ def code_shape_flag(w: Permutation, code=None) -> CodeShapeFlag:
             ps.append(w.lo + stack[-1] - 1)
         stack.append(k)
     return CodeShapeFlag(Partition(shape), Flag(tuple(sorted(ps))))
+
+
+def all_vexillary(lo: int, hi: int) -> list[Permutation]:
+    """All vexillary permutations with support inside [lo, hi]."""
+    ws = (Permutation.from_one_line(images, lo)
+          for images in iter_permutations(range(lo, hi + 1)))
+    return sorted((w for w in ws if w.is_vexillary()),
+                  key=lambda w: (w.length(), w.one_line(lo, hi)))

@@ -218,8 +218,8 @@ class GrahamSum:
             and self.beta_exp == other.beta_exp
 
     def canonical(self) -> list[tuple[GrahamMonomial, int]]:
-        return [(GrahamMonomial.of_key(k), c)
-                for k, c in sorted(self.terms.items())]
+        terms = self.terms  # unique keys: sort them, not the items
+        return [(GrahamMonomial.of_key(k), terms[k]) for k in sorted(terms)]
 
     def __repr__(self):
         return "GrahamSum(" + " + ".join(self.text_lines()) + ")"
@@ -237,17 +237,18 @@ class GrahamSum:
             for code in set(chain.from_iterable(self.terms))}
         emit('{\n "normalization_beta_exp": %d,\n "monomials": '
              % normalization_beta_exp)
-        items, step = sorted(self.terms.items()), 4096  # monomials a write
-        if not items:
+        terms, step = self.terms, 4096  # monomials a write
+        keys = sorted(terms)  # unique keys: sort them, not the items
+        if not keys:
             emit("[]")
-        for start in range(0, len(items), step):
+        for start in range(0, len(keys), step):
             emit(("[\n" if start == 0 else ",\n") + ",\n".join(
                 '  {\n   "factors": '
                 + ("[\n" + ",\n".join([factor_text[c] for c in k])
                    + "\n   ]" if k else "[]")
-                + ',\n   "mult": %d\n  }' % c
-                for k, c in items[start:start + step]))
-        if items:
+                + ',\n   "mult": %d\n  }' % terms[k]
+                for k in keys[start:start + step]))
+        if keys:
             emit("\n ]")
         # the extra items sit at the payload's depth: splice their own dump
         emit(",\n" + json.dumps(extra, indent=1)[2:] if extra else "\n}")

@@ -18,9 +18,9 @@ from functools import lru_cache, partial
 from itertools import chain, groupby, permutations as iter_permutations
 from operator import le
 
-from .grothendieck import (ascent_chain, field_sum, g_eval, grothendieck_poly,
-                           gvex_checker)
-from .perms import Permutation
+from .grothendieck import (OrbitTable, field_sum, g_eval, grothendieck_poly,
+                           gvex_record, shifted_coords)
+from .perms import Permutation, all_vexillary
 from .pipeline import (contexts, j_coefficient, j_numeric, j_plus_numeric,
                        pi_chain)
 from .ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, code_factor,
@@ -233,14 +233,6 @@ def suite_pi(cfg: RunConfig) -> dict:
 # Suite: gvex — backstable approximation vs. flagged tableau sum.
 
 
-def all_vexillary(lo: int, hi: int) -> list[Permutation]:
-    """All vexillary permutations with support inside [lo, hi]."""
-    ws = (Permutation.from_one_line(images, lo)
-          for images in iter_permutations(range(lo, hi + 1)))
-    return sorted((w for w in ws if w.is_vexillary()),
-                  key=lambda w: (w.length(), w.one_line(lo, hi)))
-
-
 GVEX_P0 = 4  # shifts support [-2,3] into [2,7]; x is read on indices -3..3
 GVEX_N = 7
 
@@ -257,26 +249,41 @@ def gvex_points(prime: int, seed: int, trials: int
                               (1, 2), distinct_x=True) for _ in range(trials))
 
 
-def _gvex_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
-    """One w at every sweep point: a failure line per point where the two
-    values differ.  An exception is the unit's failure, through _guarded."""
-    images, base = inst
-    key = f"w={','.join(map(str, images))}@{base}" if images else "w=id"
-    points = gvex_points(cfg.prime, cfg.seed, cfg.trials)
-    check = gvex_checker(Permutation.from_one_line(images, base), p=GVEX_P0,
-                         n=GVEX_N)
-    return len(points), [f"{key}: backstable and tableau values differ"
-                         for pt in points if not check(pt)]
+@lru_cache(maxsize=1)
+def gvex_sweep() -> tuple[tuple, ...]:
+    """Each vexillary w with support in [-2, 3] as its gvex_record at
+    GVEX_P0 on 1..GVEX_N and the key that names w in a failure line, once
+    per process.  Sorted by word, which orders the tree depth first, so
+    each point's table steps each node once; the words are unique."""
+    return tuple(sorted(
+        (*gvex_record(w, GVEX_P0, GVEX_N),
+         f"w={','.join(map(str, w.images))}@{w.lo}" if w.images else "w=id")
+        for w in all_vexillary(-2, 3)))
+
+
+def _gvex_point(cfg: RunConfig, k: int) -> tuple[int, list[str]]:
+    """Every w at sweep point k, against one orbit table of that point,
+    which is dropped when the unit ends.  Each w runs through _guarded: an
+    exception is the failure of that (w, point), and the other w run."""
+    pt = gvex_points(cfg.prime, cfg.seed, cfg.trials)[k]
+    table = OrbitTable(*shifted_coords(GVEX_P0, pt, GVEX_N), pt.beta,
+                       pt.prime)
+
+    def compare(word, shape, flag, cfg, unit):
+        return 1, [] if table.value(word) == g_eval(shape, flag, "any", pt) \
+            else [f"{unit}: backstable and tableau values differ"]
+
+    results = [_guarded("gvex", partial(compare, word, shape, flag), cfg,
+                        f"{key} point={k}")
+               for word, shape, flag, key in gvex_sweep()]
+    return sum(c for c, _ in results), [f for _, fs in results for f in fs]
 
 
 def suite_gvex(cfg: RunConfig) -> dict:
-    # every Grassmannian w_lam with |lam| <= 3 sits inside this sweep; depth
-    # first in the orbit tree, each point's table computes each entry once
-    ws = sorted(all_vexillary(-2, 3), key=lambda w: ascent_chain(
-        w.iota(GVEX_P0).one_line(1, GVEX_N)))
-    return {**_collect("gvex", _gvex_instance,
-                       [(w.images, w.lo) for w in ws], cfg),
-            "prime": cfg.prime}
+    # every Grassmannian w_lam with |lam| <= 3 sits inside this sweep; a unit
+    # is one point, so one orbit table is alive at a time
+    return {**_collect("gvex", _gvex_point, range(cfg.trials), cfg),
+            "instances": len(gvex_sweep()), "prime": cfg.prime}
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +317,8 @@ def _theorem_instance(cfg: RunConfig, inst) -> tuple[int, list[str]]:
         unordered = {code for code, (_, t) in facts.items() if t is None}
         type1 = {code for code, (_, t) in facts.items() if t == 1}
         type2 = {code for code, (_, t) in facts.items() if t == 2}
-        for codes, coeff in sorted(j.terms.items()):
+        for codes in sorted(j.terms):  # unique keys: sort them, not the items
+            coeff = j.terms[codes]
             checks += 1
             if coeff <= 0:
                 failures.append(f"{rkey}: nonpositive coefficient {coeff}")
@@ -398,15 +406,11 @@ def suite_omega(cfg: RunConfig) -> dict:
 
 
 def _random_poly(rng, n, prime, terms=6, degree=3):
-    f = SparsePoly.const(0, n, prime)
+    f = {}  # exponent vector -> coefficient, repeated exponents summed
     for _ in range(terms):
         expo = tuple(rng.randrange(degree + 1) for _ in range(n))
-        mono = SparsePoly.const(rng.randrange(1, prime), n, prime)
-        for i, e in enumerate(expo, start=1):
-            for _ in range(e):
-                mono = mono * SparsePoly.var(i, n, prime)
-        f = f + mono
-    return f
+        f[expo] = f.get(expo, 0) + rng.randrange(1, prime)
+    return SparsePoly(n, prime, f)
 
 
 def _ring_checks(cfg: RunConfig, unit) -> tuple[int, list[str]]:

@@ -9,16 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egc import grothendieck
-from egc.grothendieck import (OrbitTable, ascent_chain, backstable_approx,
+from egc.grothendieck import (OrbitTable, ascent_word, backstable_approx,
                               backstable_poly, default_window, enum_sum,
                               field_sum, g_eval, grothendieck_poly,
-                              gvex_checker)
-from egc.perms import Permutation, code_shape_flag
+                              gvex_record, shifted_coords)
+from egc.perms import Permutation, all_vexillary
 from egc.ring import (DEFAULT_PRIME, EvaluationPoint, SparsePoly, ominus,
                       sample_point)
 from egc.shapes import Flag, Partition, SkewShape, flag_split, subpartitions
 from egc.tableaux import EnumSpec
-from egc.verify import all_vexillary, partitions_up_to
+from egc.verify import partitions_up_to
 
 P = DEFAULT_PRIME
 ORBIT_PRIME = 2147483647  # 2^31 - 1, a second prime for the orbit tests
@@ -166,7 +166,7 @@ def test_orbit_table_matches_poly():
     expect = _poly_values(perms, xs, ys, beta, ORBIT_PRIME)
     table = OrbitTable(xs, ys, beta, ORBIT_PRIME)
     for images in perms + perms[::-1]:  # the path grows, then unwinds
-        assert table.value(ascent_chain(images)) == expect[images]
+        assert table.value(ascent_word(images)) == expect[images]
 
 
 def test_orbit_path_reuse_matches_fresh_tables():
@@ -176,9 +176,9 @@ def test_orbit_path_reuse_matches_fresh_tables():
     random.Random(17).shuffle(perms)
     table = OrbitTable(xs, ys, beta, ORBIT_PRIME)
     for images in perms:
-        chain = ascent_chain(images)
-        assert table.value(chain) == \
-            OrbitTable(xs, ys, beta, ORBIT_PRIME).value(chain)
+        word = ascent_word(images)
+        assert table.value(word) == \
+            OrbitTable(xs, ys, beta, ORBIT_PRIME).value(word)
         assert len(table._path) <= n * (n - 1) // 2
 
 
@@ -191,7 +191,7 @@ def test_orbit_table_large_prime():
     expect = _poly_values(perms, xs, ys, beta, prime)
     table = OrbitTable(xs, ys, beta, prime)
     for images in perms:
-        assert table.value(ascent_chain(images)) == expect[images]
+        assert table.value(ascent_word(images)) == expect[images]
 
 
 def test_orbit_table_guards():
@@ -203,10 +203,10 @@ def test_orbit_table_guards():
     expect = _poly_values(perms, xs, ys, beta, DEFAULT_PRIME)
     table = OrbitTable(xs, ys, beta, DEFAULT_PRIME)
     for images in perms:
-        assert table.value(ascent_chain(images)) == expect[images]
-    # a path must run on the table's n coordinates
+        assert table.value(ascent_word(images)) == expect[images]
+    # a word's letters must name swaps of the table's n coordinates
     with pytest.raises(ValueError, match="not on 3 coordinates"):
-        table.value(ascent_chain((2, 1, 4, 3)))
+        table.value(ascent_word((2, 1, 4, 3)))
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -227,10 +227,10 @@ def test_orbit_table_cold_query_at_the_size_bound():
     n = grothendieck.ORBIT_MAX_N
     xs, ys, beta = _orbit_instance(n, ORBIT_PRIME, 21)
     table = OrbitTable(xs, ys, beta, ORBIT_PRIME)
-    assert table.value(ascent_chain(tuple(range(1, n + 1)))) == 1
+    assert table.value(ascent_word(tuple(range(1, n + 1)))) == 1
     assert len(table._path) == n * (n - 1) // 2
     assert all(len(slots) == len(table.root) == 40320
-               for _, _, slots in table._path)
+               for _, slots in table._path)
 
 
 def test_orbit_table_cache_bound():
@@ -266,16 +266,24 @@ def test_backstable_routes_agree():
         assert backstable_approx(w, p, pt, n) == backstable_poly(w, p, pt, n)
 
 
+def _gvex_holds(w, p, n, pt):
+    """The gvex sweep's comparison of w at the point: the orbit table's
+    value at w's word against the flagged tableau sum of w's record."""
+    word, shape, flag = gvex_record(w, p, n)
+    table = OrbitTable(*shifted_coords(p, pt, n), pt.beta, pt.prime)
+    return table.value(word) == g_eval(shape, flag, "any", pt)
+
+
 def test_gvex_check_small():
     rng = random.Random(13)
-    csf = code_shape_flag(Permutation.s(0))
+    _, shape, flag = gvex_record(Permutation.s(0), 3, 6)
     for _ in range(3):  # the polynomial route, at a prime past the orbit's
         pt = sample_point(P, rng, range(-2, 3), range(-2, 3))
         assert backstable_poly(Permutation.s(0), 3, pt, 6) == \
-            g_eval(SkewShape(csf.shape), csf.flag, "any", pt)
+            g_eval(shape, flag, "any", pt)
     w = Permutation.from_one_line((3, 4, 5, 1, 6, 2), 1)
     pt = sample_point(ORBIT_PRIME, rng, range(1, 7), (1, 2), distinct_x=True)
-    assert gvex_checker(w, 0, 6)(pt)
+    assert _gvex_holds(w, 0, 6, pt)
 
 
 def test_gvex_grassmannian():
@@ -287,13 +295,13 @@ def test_gvex_grassmannian():
         n = w.window_hi + p0
         pt = sample_point(ORBIT_PRIME, rng, range(1 - p0, n - p0 + 1), (1, 2),
                           distinct_x=True)
-        assert gvex_checker(w, p0, n)(pt)
+        assert _gvex_holds(w, p0, n, pt)
 
 
 def test_gvex_rejects_non_vexillary():
-    pt = EvaluationPoint.make(P, 1, {}, {})
-    with pytest.raises(ValueError):
-        gvex_checker(Permutation.from_word((1, 2, -1, 0)))(pt)
+    w = Permutation.from_word((1, 2, -1, 0))  # support [-1, 3], has 2143
+    with pytest.raises(ValueError, match="not vexillary"):
+        gvex_record(w, 2, 5)
 
 
 @pytest.mark.parametrize("route", [field_sum, enum_sum], ids=["dp", "enum"])

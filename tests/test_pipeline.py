@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from egc import pipeline
 from egc.grothendieck import g_eval
-from egc.perms import Permutation, code_shape_flag
+from egc.perms import Permutation, all_vexillary, code_shape_flag
 from egc.pipeline import (build_context, contexts, flag_record, half_sum,
                           j_coefficient, j_minus, j_numeric,
                           j_of_permutation, j_plus, pi_chain, unique_nu)
@@ -20,7 +20,7 @@ from egc.shapes import (Flag, Partition, SkewShape, compatible_flags,
                         diagonal_split, disconnected_inners, is_compatible,
                         normal_flag, q_of, subpartitions)
 from egc.tableaux import EnumSpec, enumerate_tableaux
-from egc.verify import all_vexillary, partitions_up_to, verify_identities
+from egc.verify import partitions_up_to, verify_identities
 
 P = DEFAULT_PRIME
 

@@ -3,19 +3,22 @@ deterministic, and parallel runs match serial ones."""
 
 import concurrent.futures
 import os
+import weakref
 
 import pytest
 
 from egc import grothendieck, pipeline, ring, verify
 from egc.cli import main
+from egc.grothendieck import ascent_word
+from egc.perms import Permutation, all_vexillary
 from egc.pipeline import contexts
 from egc.ring import DEFAULT_PRIME, EvaluationPoint, GrahamSum, factor_code
 from egc.shapes import (Flag, Partition, SkewShape, compatible_flags,
                         diagonal_split, subpartitions)
 from egc.tableaux import (EnumSpec, SetValuedTableau, enumerate_tableaux,
                           split)
-from egc.verify import (GVEX_N, GVEX_P0, SUITES, RunConfig, all_vexillary,
-                        partitions_up_to, verify_identities)
+from egc.verify import (GVEX_N, GVEX_P0, SUITES, RunConfig, partitions_up_to,
+                        verify_identities)
 
 
 def test_partitions_up_to():
@@ -92,33 +95,42 @@ def test_all_vexillary_small():
 
 
 def test_gvex_sweep_visits_each_vexillary_w_once(monkeypatch):
-    seen, chains = [], []
-    real_instance, real_chain = verify._gvex_instance, verify.ascent_chain
+    derived, asked, tableau = [], {}, []
+    real_word, real_value = ascent_word, grothendieck.OrbitTable.value
+    real_g_eval = verify.g_eval
 
-    def record(cfg, inst):
-        seen.append((inst, cfg.prime))
-        return real_instance(cfg, inst)
+    def word(line):
+        derived.append(line)
+        return real_word(line)
 
-    def chain(line):
-        chains.append(line)
-        return real_chain(line)
+    def value(self, w):  # the words asked of each table, in order
+        asked.setdefault(self, []).append(w)
+        return real_value(self, w)
 
-    monkeypatch.setattr(verify, "_gvex_instance", record)
-    monkeypatch.setattr(verify, "ascent_chain", chain)
-    monkeypatch.setattr(grothendieck, "ascent_chain", chain)
-    ws = sorted((w.images, w.lo) for w in all_vexillary(-2, 3))
+    def g_eval(shape, flag, sign, pt):
+        tableau.append(pt)
+        return real_g_eval(shape, flag, sign, pt)
+
+    monkeypatch.setattr(grothendieck, "ascent_word", word)
+    monkeypatch.setattr(grothendieck.OrbitTable, "value", value)
+    monkeypatch.setattr(verify, "g_eval", g_eval)
+    verify.gvex_sweep.cache_clear()
+    ws = all_vexillary(-2, 3)
+    words = sorted(real_word(w.iota(GVEX_P0).one_line(1, GVEX_N)) for w in ws)
+    assert len(set(words)) == len(ws) == 513
     for prime in (DEFAULT_PRIME, 1000003):
-        seen.clear()
-        chains.clear()
+        asked.clear()
+        tableau.clear()
         report = verify_identities("gvex", prime=prime, trials=3)
-        # each w's path is derived once for the sort and once for its
-        # points, however many points there are
-        assert len(chains) == 2 * 513
         assert report["prime"] == prime and report["ok"]
         assert (report["instances"], report["checks"]) == (513, 1539)
-        assert len(seen) == len(ws) == 513
-        assert sorted(inst for inst, _ in seen) == ws
-        assert {p for _, p in seen} == {prime}
+        # one table per point, asked every w once, depth first
+        points = verify.gvex_points(prime, 0, 3)
+        assert len(asked) == 3 and {t.prime for t in asked} == {prime}
+        assert all(queries == words for queries in asked.values())
+        assert [tableau.count(pt) for pt in points] == [513] * 3
+        # each w's path is derived once per process, whatever the points
+        assert len(derived) == 513
 
 
 def test_gvex_sweep_steps_each_tree_node_once(monkeypatch):
@@ -135,18 +147,55 @@ def test_gvex_sweep_steps_each_tree_node_once(monkeypatch):
     filled, fill = {}, grothendieck.OrbitTable._fill
 
     def counted(self, level, ranks):
-        line = self._path[level - 1][0] if level else None
-        filled[line] = filled.get(line, 0) + len(ranks)
+        line = None  # the root; a node's line is w_0 times its path's s_a
+        if level:
+            line = tuple(range(GVEX_N, 0, -1))
+            for a, _ in self._path[:level]:
+                line = line[:a - 1] + (line[a], line[a - 1]) + line[a + 1:]
+        per_table = filled.setdefault(self, {})
+        per_table[line] = per_table.get(line, 0) + len(ranks)
         return fill(self, level, ranks)
 
     monkeypatch.setattr(grothendieck.OrbitTable, "_fill", counted)
-    grothendieck._orbit_table.cache_clear()  # one new table, empty path
-    assert verify_identities("gvex", trials=1)["ok"]
-    # only the entries the queries read, each once: a node stepped twice
-    # would refill its slots
-    assert filled.pop(None) == 5040
-    assert set(filled) == nodes
-    assert sum(filled.values()) == 23999
+    assert verify_identities("gvex", trials=3)["ok"]
+    # at each point, only the entries the queries read, each once: a node
+    # stepped twice would refill its slots
+    assert len(filled) == 3
+    for per_table in filled.values():
+        assert per_table.pop(None) == 5040
+        assert set(per_table) == nodes
+        assert sum(per_table.values()) == 23999
+
+
+def test_gvex_sweep_holds_one_orbit_table_at_a_time(monkeypatch):
+    alive, built, init = weakref.WeakSet(), [], grothendieck.OrbitTable.__init__
+
+    def tracked(self, *args):
+        built.append(len(alive))  # tables still alive when one more is built
+        init(self, *args)
+        alive.add(self)
+
+    monkeypatch.setattr(grothendieck.OrbitTable, "__init__", tracked)
+    before = grothendieck._orbit_table.cache_info()
+    assert verify_identities("gvex", trials=3, jobs=1)["ok"]
+    assert built == [0, 0, 0]
+    # the sweep builds its own tables: backstable_approx's cache is unread
+    assert grothendieck._orbit_table.cache_info() == before
+
+
+def test_gvex_failure_names_w_and_point(monkeypatch):
+    real_value, s0 = grothendieck.OrbitTable.value, ascent_word(
+        Permutation.s(0).iota(GVEX_P0).one_line(1, GVEX_N))
+
+    def wrong(self, word):  # off by one at w = s_0 only
+        return real_value(self, word) + (word == s0)
+
+    monkeypatch.setattr(grothendieck.OrbitTable, "value", wrong)
+    report = verify_identities("gvex", trials=2)
+    assert report["checks"] == 1026 and not report["ok"]
+    assert report["failures"] == [
+        f"w=1,0@0 point={k}: backstable and tableau values differ"
+        for k in (0, 1)]
 
 
 def test_suite_ring():
@@ -399,31 +448,33 @@ def test_unit_exception_becomes_failure(monkeypatch):
 def test_suite_exception_becomes_failure(monkeypatch, suite):
     """An exception in one unit of each other suite is that unit's
     failure: the other units still run, serially and in a pool alike.
-    The injection raises from the unit's random stream, for gvex from its
-    checker."""
-    options = {"max_size": 3, "trials": 1}
+    The injection raises from the unit's random stream.  A gvex unit is a
+    point, and each w at it is guarded: the injection raises from the
+    tableau sum of w = id, which fails once per point while the other 512
+    w are checked."""
+    options = {"max_size": 3, "trials": 2 if suite == "gvex" else 1}
     cfg = RunConfig(**options)
     lam_21 = [(lam, phi) for lam, phi in verify._pairs(3, -2, 3)
               if lam == (2, 1)]
-    unit_fn, broken = {
-        "decompose": (verify._decompose_group,
-                      [((2, 1), [phi for _, phi in lam_21])]),
-        "pi": (verify._pi_instance, [inst for inst in lam_21
-                                     if min(inst[1]) >= 0]),
-        "gvex": (verify._gvex_instance, [((), 0)]),
-        "omega": (verify._omega_instance, [(2, 1)]),
-    }[suite]
     clean = verify_identities(suite, **options)
-    lost = sum(unit_fn(cfg, unit)[0] for unit in broken)
     if suite == "gvex":
-        real_checker = verify.gvex_checker
+        broken, lost = ["w=id point=0", "w=id point=1"], 2
+        real_g_eval = verify.g_eval
 
-        def checker(w, **kwargs):
-            if w.is_identity():
+        def g_eval(shape, *args):
+            if not shape.size:  # shape(w) is empty for w = id alone
                 raise RuntimeError("injected")
-            return real_checker(w, **kwargs)
-        monkeypatch.setattr(verify, "gvex_checker", checker)
+            return real_g_eval(shape, *args)
+        monkeypatch.setattr(verify, "g_eval", g_eval)
     else:
+        unit_fn, broken = {
+            "decompose": (verify._decompose_group,
+                          [((2, 1), [phi for _, phi in lam_21])]),
+            "pi": (verify._pi_instance, [inst for inst in lam_21
+                                         if min(inst[1]) >= 0]),
+            "omega": (verify._omega_instance, [(2, 1)]),
+        }[suite]
+        lost = sum(unit_fn(cfg, unit)[0] for unit in broken)
         real_stream = verify._stream
 
         def stream(seed, name):
