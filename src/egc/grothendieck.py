@@ -12,8 +12,9 @@ The backstable approximation is read off the orbit engine by
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations as iter_permutations
-from math import prod
+from itertools import permutations as iter_permutations, product
+from math import factorial, prod
+from operator import itemgetter
 
 from .perms import Permutation, code_shape_flag
 from .ring import (EvaluationPoint, EvaluationError, SparsePoly, field_inv,
@@ -142,20 +143,32 @@ def grothendieck_poly(w: Permutation, n: int, point: EvaluationPoint,
 # and, lazily, at the coordinate permutations of it that a query reads.
 
 
-ORBIT_MAX_N = 8  # a node has n! slots: 40,320 at n = 8
+ORBIT_MAX_N = 8  # a node has at most n! slots: 40,320 at n = 8
 
 
 @lru_cache(maxsize=ORBIT_MAX_N)
-def _orbit_perms(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+def _orbit_perms(n: int) -> tuple[list[bytes], list]:
     """What every orbit table on n coordinates shares, read-only: the
-    permutations of range(n) in lexicographic order, whose index is the
-    orbit rank (rank 0 is the identity), and for each i < n-1 the rank map
-    that swaps entries i and i+1."""
-    perms = list(iter_permutations(range(n)))
-    index = {pm: k for k, pm in enumerate(perms)}
-    swap = [[index[pm[:i] + (pm[i + 1], pm[i]) + pm[i + 2:]] for pm in perms]
-            for i in range(n - 1)]
-    return perms, swap
+    permutations of range(n) in lexicographic order (rank 0 is the
+    identity) as n byte columns, cols[i][u] the entry i of rank u, and for
+    each i < n-1 the rank map swapping entries i and i+1, in array('H').
+    Rank u = sum c_i (n-1-i)! over its Lehmer digits c_i < n-i, and the
+    swap changes only (c_i, c_{i+1}): to (c_{i+1}+1, c_i) at an ascent
+    (c_i <= c_{i+1}), else to (c_{i+1}, c_i-1).  Nothing else is n!-long."""
+    from array import array  # a shared library: loaded by orbit runs only
+    cols = [bytes(map(itemgetter(i), iter_permutations(range(n))))
+            for i in range(n)]
+    swap, n_fact = [], factorial(n)
+    for i in range(n - 1):
+        k, f = n - i, factorial(n - 2 - i)  # c_i < k; c_{i+1} < k-1 weighs f
+        starts = []  # the swapped rank of each (c_i, c_{i+1}), lower digits 0
+        for ci, cj in product(range(k), range(k - 1)):
+            ci, cj = (cj + 1, ci) if ci <= cj else (cj, ci - 1)
+            starts.append((ci * (k - 1) + cj) * f)
+        swap.append(array("H", (high + start + low
+                                for high in range(0, n_fact, factorial(k))
+                                for start in starts for low in range(f))))
+    return cols, swap
 
 
 def ascent_word(line: tuple[int, ...]) -> tuple[int, ...]:
@@ -174,7 +187,7 @@ def ascent_word(line: tuple[int, ...]) -> tuple[int, ...]:
 class OrbitTable:
     """Evaluates 𝔊_w(x;y) for w in S_n at the base point xs (distinct mod
     p) by the isobaric recursion, run pointwise over the orbit of xs: the
-    entry of rank u is the value at z_i = xs[perms[u][i-1]].
+    entry of rank u is the value at z_i = xs[cols[i-1][u]].
 
     A value is read off the end of w's path in one spanning tree of the
     weak order: the parent of u is u*s_a for u's last ascent a, the root is
@@ -187,15 +200,14 @@ class OrbitTable:
     lexicographic order of their words compute each entry once; out of
     that order, the nodes off the shared prefix are dropped and refilled.
 
-    Memory: every table on n coordinates shares `_orbit_perms(n)`, n!
-    tuples of n and n-1 lists of n! ranks.  A table holds n×n tables of
+    Memory: every table on n coordinates shares `_orbit_perms(n)`, n byte
+    columns and n-1 two-byte rank maps of n! entries.  A table holds n×n
     row factors and inverse differences, and at most 1 + n(n-1)/2 nodes
-    (the root and its path) of n! slots, each empty or one int below p:
-    at most 29 × 40,320 slots at n = ORBIT_MAX_N.  The gvex sweep (n = 7)
-    fills 23,999 path entries and 5,040 roots per point and holds one
-    table at a time: at most 22 nodes of 5,040 slots, 1.2 MB when every w
-    is asked and 1.7 MB at the peak (tracemalloc, CPython 3.11), beside
-    the 0.9 MB that `_orbit_perms(7)` shares.
+    (the root and its path).  A node's slots, each None or an int below p
+    (any prime), run only up to its highest filled rank, never past n!; a
+    path's later letters move later entries, so deep nodes stay short:
+    the gvex sweep (n = 7) holds one table at a time, at most 33,540 slots
+    on its deepest path, and fills 23,999 path entries per point.
     """
 
     def __init__(self, xs: tuple[int, ...], ys: tuple[int, ...],
@@ -210,7 +222,7 @@ class OrbitTable:
         if len(ys) < n - 1:
             raise ValueError(f"need {n - 1} y values")
         self.n, self.beta, self.prime = n, beta % prime, prime
-        self.perms, self.swap = _orbit_perms(n)
+        self.cols, self.swap = _orbit_perms(n)
         self.A = [(1 + self.beta * x) % prime for x in xs]
         self.invdiff = [[field_inv(x - z, prime) if x != z else 0
                          for z in xs] for x in xs]
@@ -221,7 +233,7 @@ class OrbitTable:
         # rows[i][m] = g_{i+1}(xs[m]), g_i(z) = prod_{j <= n-i} (z - y_j)/d_j
         self.rows = [[prod((x - y) * c for y, c in zip(ys, scale[:n - 1 - i]))
                       % prime for x in xs] for i in range(n)]
-        self.root: list[int | None] = [None] * len(self.perms)
+        self.root: list[int | None] = []
         self._path: list[tuple[int, list[int | None]]] = []  # (a, slots)
 
     def _slots(self, level: int) -> list[int | None]:
@@ -229,19 +241,19 @@ class OrbitTable:
         return self._path[level - 1][1] if level else self.root
 
     def _fill(self, level: int, ranks: list[int]) -> None:
-        """Fill the given slots of node `level`: the root's from the row
-        factors, a node's from its parent's, which must hold them."""
-        p, perms, slots = self.prime, self.perms, self._slots(level)
+        """Grow node `level` to the given ranks and fill them: the root's
+        from the row factors, a node's from its parent's, which holds them."""
+        p, cols, slots = self.prime, self.cols, self._slots(level)
+        if (top := max(ranks)) >= len(slots):
+            slots.extend([None] * (top + 1 - len(slots)))
         if not level:  # 𝔊_{w_0} = prod_i g_i(z_i)
-            rows = self.rows
             for u in ranks:
-                slots[u] = prod(r[m] for r, m in zip(rows, perms[u])) % p
+                slots[u] = prod(r[c[u]] for r, c in zip(self.rows, cols)) % p
             return
-        A, invdiff, F = self.A, self.invdiff, self._slots(level - 1)
-        a = self._path[level - 1][0]
-        swap = self.swap[a - 1]
+        a, F = self._path[level - 1][0], self._slots(level - 1)
+        A, invdiff, swap = self.A, self.invdiff, self.swap[a - 1]
         for u in ranks:
-            left, right = perms[u][a - 1], perms[u][a]
+            left, right = cols[a - 1][u], cols[a][u]
             slots[u] = (A[right] * F[u] - A[left] * F[swap[u]]) \
                 * invdiff[left][right] % p
 
@@ -250,17 +262,17 @@ class OrbitTable:
         w's one-line notation on 1..n."""
         if not all(0 < a < self.n for a in word):
             raise ValueError(f"word {word} not on {self.n} coordinates")
-        path = self._path
-        k = 0
+        path, k = self._path, 0
         while k < min(len(path), len(word)) and path[k][0] == word[k]:
             k += 1
         del path[k:]
-        path.extend((a, [None] * len(self.perms)) for a in word[k:])
+        path.extend((a, []) for a in word[k:])
         # top down, the slots each level lacks; then fill them bottom up
         lacks, need = [], [0]
         for level in range(len(path), -1, -1):
             slots = self._slots(level)
-            if not (need := [u for u in need if slots[u] is None]):
+            if not (need := [u for u in need
+                             if u >= len(slots) or slots[u] is None]):
                 break
             lacks.append((level, need))
             if level:
@@ -276,9 +288,9 @@ def _orbit_table(xs, ys, beta, prime):
     """The orbit table of one point, kept for the next w at it.  Only
     backstable_approx reads this cache: acceptance criterion 8 asks for its
     5 points w by w.  The gvex sweep builds one table per point itself and
-    drops it when the point is done.  The cache keeps at most 8 tables of
-    at most (1 + n(n-1)/2)·n! slots each (see OrbitTable): 8 × 29 × 40,320
-    slots at n = 8."""
+    drops it when the point is done.  The cache keeps at most 8 tables,
+    each of at most (1 + n(n-1)/2)·n! slots but only as many as its paths
+    have filled (see OrbitTable): under 8 × 29 × 40,320 at n = 8."""
     return OrbitTable(xs, ys, beta, prime)
 
 

@@ -2,6 +2,7 @@
 orbit engine, and the backstable comparison."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -229,8 +230,50 @@ def test_orbit_table_cold_query_at_the_size_bound():
     table = OrbitTable(xs, ys, beta, ORBIT_PRIME)
     assert table.value(ascent_word(tuple(range(1, n + 1)))) == 1
     assert len(table._path) == n * (n - 1) // 2
-    assert all(len(slots) == len(table.root) == 40320
-               for _, slots in table._path)
+    # each node only as long as its highest filled rank, never above n!
+    nodes = [table.root, *(slots for _, slots in table._path)]
+    assert max(map(len, nodes)) <= math.factorial(n)
+    assert sum(map(len, nodes)) == 310741  # against 29 × 40,320 if full
+
+
+def _old_orbit_perms(n):
+    # the construction through a table of n! tuples and a tuple -> rank dict
+    perms = list(itertools.permutations(range(n)))
+    index = {pm: k for k, pm in enumerate(perms)}
+    swap = [[index[pm[:i] + (pm[i + 1], pm[i]) + pm[i + 2:]] for pm in perms]
+            for i in range(n - 1)]
+    return perms, swap
+
+
+def _lex_rank(pm):
+    n = len(pm)
+    return sum(sum(q < pm[i] for q in pm[i + 1:]) * math.factorial(n - 1 - i)
+               for i in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_orbit_perms_match_the_tuple_table(n):
+    cols, swap = grothendieck._orbit_perms(n)
+    perms, old_swap = _old_orbit_perms(n)
+    assert [list(col) for col in cols] == [list(col) for col in zip(*perms)]
+    assert [list(rank_map) for rank_map in swap] == old_swap
+
+
+def test_orbit_perms_at_the_size_bound():
+    n = grothendieck.ORBIT_MAX_N
+    # the swap maps' typecode holds every rank below n!: raising the bound
+    # past it fails here, before a build overflows
+    rank_map = grothendieck._orbit_perms(2)[1][0]
+    assert math.factorial(n) <= 1 << 8 * rank_map.itemsize
+    cols, swap = grothendieck._orbit_perms(n)
+    assert len(cols) == n and len(swap) == n - 1
+    assert all(len(c) == math.factorial(n) for c in [*cols, *swap])
+    for u in random.Random(22).sample(range(math.factorial(n)), 64):
+        pm = tuple(col[u] for col in cols)
+        assert sorted(pm) == list(range(n)) and _lex_rank(pm) == u
+        for i, rank_map in enumerate(swap):
+            assert _lex_rank(pm[:i] + (pm[i + 1], pm[i]) + pm[i + 2:]) == \
+                rank_map[u]
 
 
 def test_orbit_table_cache_bound():

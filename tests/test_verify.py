@@ -167,6 +167,22 @@ def test_gvex_sweep_steps_each_tree_node_once(monkeypatch):
         assert sum(per_table.values()) == 23999
 
 
+def test_gvex_sweep_keeps_tree_nodes_short(monkeypatch):
+    # a node is as long as its highest filled rank: the deepest path at a
+    # point holds 33,540 slots, where full nodes would hold 22 × 5,040
+    held, value = {}, grothendieck.OrbitTable.value
+
+    def measured(self, word):
+        result = value(self, word)
+        slots = len(self.root) + sum(len(s) for _, s in self._path)
+        held[self] = max(held.get(self, 0), slots)
+        return result
+
+    monkeypatch.setattr(grothendieck.OrbitTable, "value", measured)
+    assert verify_identities("gvex", trials=3)["ok"]
+    assert len(held) == 3 and max(held.values()) <= 33540
+
+
 def test_gvex_sweep_holds_one_orbit_table_at_a_time(monkeypatch):
     alive, built, init = weakref.WeakSet(), [], grothendieck.OrbitTable.__init__
 
